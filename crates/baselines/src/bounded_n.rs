@@ -197,7 +197,7 @@ mod tests {
     fn agrees_with_oracle_on_random_rings() {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..8 {
-            let ring = generate::random_a_inter_kk(9, 3, 4, &mut rng);
+            let ring = generate::random_a_inter_kk(9, 3, 4, &mut rng).unwrap();
             let rep = run(
                 &BoundedN::new(7, 11),
                 &ring,

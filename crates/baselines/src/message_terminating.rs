@@ -143,7 +143,7 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..5 {
-            let ring = generate::random_a_inter_kk(8, 3, 4, &mut rng);
+            let ring = generate::random_a_inter_kk(8, 3, 4, &mut rng).unwrap();
             let rep =
                 run(&MtAk::new(3), &ring, &mut RoundRobinSched::default(), RunOptions::default());
             assert!(satisfies_message_terminating(&rep), "{ring:?}");

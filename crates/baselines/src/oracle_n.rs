@@ -184,7 +184,7 @@ mod tests {
         // criterion with different knowledge.
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..10 {
-            let ring = generate::random_a_inter_kk(7, 3, 3, &mut rng);
+            let ring = generate::random_a_inter_kk(7, 3, 3, &mut rng).unwrap();
             let oracle =
                 run(&OracleN::new(7), &ring, &mut RandomSched::new(1), RunOptions::default());
             assert!(oracle.clean());

@@ -20,7 +20,7 @@ fn arb_k1_ring() -> impl Strategy<Value = RingLabeling> {
 fn arb_asym_ring() -> impl Strategy<Value = RingLabeling> {
     (3usize..12, any::<u64>()).prop_map(|(n, seed)| {
         let mut rng = StdRng::seed_from_u64(seed);
-        generate::random_a_inter_kk(n, n, 4, &mut rng)
+        generate::random_a_inter_kk(n, n, 4, &mut rng).unwrap()
     })
 }
 

@@ -32,7 +32,7 @@ pub fn report() -> String {
     }
     // Random rings.
     for _ in 0..15 {
-        let ring = generate::random_a_inter_kk(10, 3, 4, &mut rng);
+        let ring = generate::random_a_inter_kk(10, 3, 4, &mut rng).expect("a nonempty ring class");
         let k = ring.max_multiplicity().max(2);
         merged.merge(check_figure2_conformance(&ring, k, &mut RoundRobinSched::default()));
         runs += 1;

@@ -21,7 +21,7 @@ const SEED: u64 = 60_601;
 /// Runs the experiment and renders its report.
 pub fn report() -> String {
     let mut rng = StdRng::seed_from_u64(SEED);
-    let ring = generate::random_a_inter_kk(12, 3, 4, &mut rng);
+    let ring = generate::random_a_inter_kk(12, 3, 4, &mut rng).expect("a nonempty ring class");
     let k = ring.max_multiplicity().max(2);
     let victim = ring.true_leader().unwrap();
 

@@ -46,7 +46,10 @@ pub fn report() -> String {
     let mut rng = StdRng::seed_from_u64(SEED);
     let rings = vec![
         ("figure-1 ring", catalog::figure1_ring()),
-        ("random ring", generate::random_a_inter_kk(10, 3, 4, &mut rng)),
+        (
+            "random ring",
+            generate::random_a_inter_kk(10, 3, 4, &mut rng).expect("a nonempty ring class"),
+        ),
     ];
     let plans: Vec<(&str, FaultPlan)> = vec![
         ("none (control)", FaultPlan::none()),

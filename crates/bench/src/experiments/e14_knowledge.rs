@@ -55,8 +55,8 @@ pub fn report() -> String {
     let mut frontier_ok = true;
 
     let mut rings: Vec<RingLabeling> = vec![catalog::ring_122(), catalog::figure1_ring()];
-    rings.push(generate::random_a_inter_kk(6, 2, 4, &mut rng));
-    rings.push(generate::random_a_inter_kk(10, 3, 5, &mut rng));
+    rings.push(generate::random_a_inter_kk(6, 2, 4, &mut rng).expect("a nonempty ring class"));
+    rings.push(generate::random_a_inter_kk(10, 3, 5, &mut rng).expect("a nonempty ring class"));
 
     for ring in &rings {
         let n = ring.n();

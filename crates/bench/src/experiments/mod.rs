@@ -26,7 +26,6 @@ pub mod e23_ctrl;
 pub mod e24_dst;
 pub mod e25_algos;
 pub mod e26_batch;
-pub mod e27_reactor;
 
 /// Runs every experiment in order and concatenates the reports — the body
 /// of `EXPERIMENTS.md`.
@@ -103,10 +102,6 @@ pub fn all() -> Vec<Experiment> {
         (
             "E26 — batched elections: per-entry byte equality and amortized throughput",
             e26_batch::report,
-        ),
-        (
-            "E27 — async serving core: epoll reactor vs thread-per-connection, hedges as timers",
-            e27_reactor::report,
         ),
     ]
 }

@@ -73,13 +73,9 @@ pub struct ClusterMetrics {
     pub batch_entry_errors: AtomicU64,
     /// Client-facing TCP connections currently open (gauge).
     pub open_connections: AtomicI64,
-    /// `epoll_wait` returns on the reactor thread (0 under
-    /// `--io threads`).
-    pub reactor_wakeups: AtomicU64,
     /// Hedged duplicates currently in flight (gauge): incremented when a
-    /// hedge launches, decremented when that attempt resolves or is
-    /// abandoned. Reconciles to 0 at rest — under `--io epoll` a
-    /// nonzero value never corresponds to a parked thread.
+    /// hedge launches, decremented when that attempt resolves.
+    /// Reconciles to 0 at rest.
     pub hedges_inflight: AtomicI64,
     /// End-to-end front-door latency (accept to response).
     pub request_latency: Log2Histogram,
@@ -156,11 +152,6 @@ impl ClusterMetrics {
         );
         // Cross-daemon serving-core series: the same names the service
         // daemon exports, so one dashboard covers both scrape targets.
-        counter(
-            "hre_reactor_wakeups_total",
-            "epoll_wait returns on the reactor thread (0 under --io threads)",
-            self.reactor_wakeups.load(Ordering::Relaxed),
-        );
         let mut gauge = |name: &str, help: &str, value: i64| {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"));
         };

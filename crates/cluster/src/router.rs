@@ -51,7 +51,7 @@ use hre_runtime::trace::{self, FlightRecorder, SpanAttrs, SpanId, Stage, TraceId
 use hre_runtime::{ClockHandle, DEFAULT_TRACE_CAP};
 use hre_svc::http::{HttpConn, ReadOutcome, Request, Response, DEFAULT_MAX_BODY};
 use hre_svc::json::{self, Json};
-use hre_svc::{error_json, tracewire, Client, ClientResponse, ElectRequest, IoMode};
+use hre_svc::{error_json, tracewire, Client, ClientResponse, ElectRequest};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -101,12 +101,6 @@ pub struct ClusterConfig {
     /// breaker probe schedules, latency accounting). Defaults to the
     /// wall clock; the simulation harness injects a virtual clock.
     pub clock: ClockHandle,
-    /// Serving core: thread-per-connection (`Threads`, the default) or
-    /// the epoll reactor (`Epoll`), where every client connection and
-    /// every backend attempt is a state machine on one reactor thread
-    /// and hedges are timers instead of parked threads. Same knob as
-    /// [`hre_svc::SvcConfig::io`].
-    pub io: IoMode,
 }
 
 impl Default for ClusterConfig {
@@ -128,29 +122,30 @@ impl Default for ClusterConfig {
             slow_threshold: Some(Duration::from_secs(1)),
             dynamic: false,
             clock: ClockHandle::default(),
-            io: IoMode::default(),
         }
     }
 }
 
 /// How often blocked loops wake up to check the shutdown flag.
-pub(crate) const POLL: Duration = Duration::from_millis(25);
+const POLL: Duration = Duration::from_millis(25);
 
-/// Everything the connection threads (or the reactor) and the prober
-/// share.
-pub(crate) struct Shared {
-    pub(crate) cfg: ClusterConfig,
+/// Everything the connection threads and the prober share.
+struct Shared {
+    cfg: ClusterConfig,
     /// The live topology generation. Swapped whole by config pushes;
     /// readers clone the `Arc` once and never see a mixed generation.
-    pub(crate) topology: RwLock<Arc<Topology>>,
-    pub(crate) metrics: ClusterMetrics,
-    pub(crate) recorder: Arc<FlightRecorder>,
-    pub(crate) shutdown: AtomicBool,
+    topology: RwLock<Arc<Topology>>,
+    metrics: ClusterMetrics,
+    recorder: Arc<FlightRecorder>,
+    /// The drain flag: the acceptor, the connection threads and the
+    /// prober poll it, and [`RouterHandle::shutdown_flag`] hands it to
+    /// the signal handler.
+    shutdown: Arc<AtomicBool>,
 }
 
 impl Shared {
     /// One consistent snapshot of the backend set.
-    pub(crate) fn topology(&self) -> Arc<Topology> {
+    fn topology(&self) -> Arc<Topology> {
         Arc::clone(&self.topology.read().unwrap())
     }
 }
@@ -160,7 +155,6 @@ pub struct RouterHandle {
     /// The address actually bound (resolves port 0).
     pub addr: SocketAddr,
     shared: Arc<Shared>,
-    shutdown: Arc<AtomicBool>,
     acceptor: JoinHandle<u64>,
     prober: JoinHandle<()>,
 }
@@ -270,54 +264,35 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<RouterHandle> {
     let addr = listener.local_addr()?;
     validate_backends(&cfg.backends, &[cfg.addr.clone(), addr.to_string()]).map_err(invalid)?;
 
-    let io = cfg.io;
     let shared = Arc::new(Shared {
         topology: RwLock::new(Arc::new(Topology::initial(&cfg))),
         metrics: ClusterMetrics::new(),
         recorder: FlightRecorder::new(cfg.trace_cap),
         cfg,
-        shutdown: AtomicBool::new(false),
+        shutdown: Arc::new(AtomicBool::new(false)),
     });
-    let shutdown = Arc::new(AtomicBool::new(false));
 
-    let acceptor = match io {
-        IoMode::Threads => {
-            let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || acceptor_loop(listener, &shared, &shutdown))
-        }
-        #[cfg(unix)]
-        IoMode::Epoll => {
-            // Create the reactor here so an unsupported platform fails
-            // `start` with a clean error instead of a dead thread.
-            let reactor = hre_runtime::Reactor::new()?;
-            let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                crate::eventloop::reactor_loop(reactor, listener, &shared, &shutdown)
+    let acceptor = {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || {
+            hre_runtime::serve_connections(&listener, &shared.shutdown, |stream| {
+                connection_loop(stream, &shared)
             })
-        }
-        #[cfg(not(unix))]
-        IoMode::Epoll => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "--io epoll requires linux",
-            ))
-        }
+        })
     };
     let prober = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || prober_loop(&shared))
     };
 
-    Ok(RouterHandle { addr, shared, shutdown, acceptor, prober })
+    Ok(RouterHandle { addr, shared, acceptor, prober })
 }
 
 impl RouterHandle {
     /// The flag that triggers a graceful drain — hand it to
     /// `signal_hook::flag::register` so SIGTERM/SIGINT stop the router.
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+        Arc::clone(&self.shared.shutdown)
     }
 
     /// Current metrics, rendered as the `/metrics` endpoint would.
@@ -380,7 +355,6 @@ impl RouterHandle {
     /// Requests a drain and joins the acceptor (which joins every
     /// connection thread) and the prober.
     pub fn shutdown(self) -> RouterSummary {
-        self.shutdown.store(true, Ordering::SeqCst);
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let _ = self.acceptor.join().expect("acceptor panicked");
         self.prober.join().expect("prober panicked");
@@ -499,38 +473,6 @@ impl RouterController {
     }
 }
 
-/// Accepts connections until shutdown; returns the count accepted.
-fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>, shutdown: &AtomicBool) -> u64 {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    let mut accepted = 0u64;
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                accepted += 1;
-                let shared = Arc::clone(shared);
-                conns.push(std::thread::spawn(move || connection_loop(stream, &shared)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-        if conns.len() > 32 {
-            let (done, live): (Vec<_>, Vec<_>) = conns.into_iter().partition(|h| h.is_finished());
-            for h in done {
-                let _ = h.join();
-            }
-            conns = live;
-        }
-    }
-    shared.shutdown.store(true, Ordering::SeqCst);
-    for h in conns {
-        let _ = h.join();
-    }
-    accepted
-}
-
 /// Serves one client connection: keep-alive request loop until the peer
 /// closes, an error, or shutdown.
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
@@ -588,14 +530,6 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/elect") => handle_elect(req, shared),
         ("POST", "/elect/batch") => handle_elect_batch(req, shared),
-        _ => route_aux(req, shared),
-    }
-}
-
-/// Every endpoint that is *not* a proxied election: cheap, answered
-/// inline by whichever serving core parsed the request.
-pub(crate) fn route_aux(req: &Request, shared: &Arc<Shared>) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
         ("GET", "/metrics") => {
             let topo = shared.topology();
@@ -691,9 +625,9 @@ type Attempt = (usize, std::io::Result<ClientResponse>, Duration);
 /// The trace a proxied request reports under: the (propagated or
 /// minted) trace id and the front-door root span its attempts hang off.
 #[derive(Clone, Copy)]
-pub(crate) struct TraceCtx {
-    pub(crate) trace_id: TraceId,
-    pub(crate) root: SpanId,
+struct TraceCtx {
+    trace_id: TraceId,
+    root: SpanId,
 }
 
 /// Fires one attempt on its own thread; the result lands in `tx` (the
@@ -755,28 +689,15 @@ fn spawn_attempt(
     });
 }
 
-/// The open half of the request envelope: the adopted (or minted) trace,
-/// the minted-but-not-yet-recorded root span, and the admission instant.
-/// Produced by [`open_request_span`], consumed by [`close_request_span`]
-/// — split so the epoll core can hold it across reactor wakeups while a
-/// forward is in flight.
-pub(crate) struct RequestSpan {
-    pub(crate) trace_id: TraceId,
-    pub(crate) root: SpanId,
-    remote_parent: SpanId,
-    pub(crate) started: Instant,
-}
-
-impl RequestSpan {
-    /// The attempt-spawning context this envelope provides.
-    pub(crate) fn ctx(&self) -> TraceCtx {
-        TraceCtx { trace_id: self.trace_id, root: self.root }
-    }
-}
-
-/// Opens the shared request envelope: count the request, adopt the
-/// propagated trace (or mint one), and mint the root span id.
-pub(crate) fn open_request_span(req: &Request, shared: &Arc<Shared>) -> RequestSpan {
+/// Wraps a front-door handler in the request envelope: count the
+/// request, adopt the propagated trace (or mint one), record the root
+/// `request` span, log slow requests, and stamp `x-trace-id` on the
+/// response.
+fn with_request_span(
+    req: &Request,
+    shared: &Arc<Shared>,
+    interior: impl FnOnce(TraceCtx, Instant) -> Response,
+) -> Response {
     let started = shared.cfg.clock.now();
     ClusterMetrics::inc(&shared.metrics.requests);
     let rec = &shared.recorder;
@@ -785,18 +706,7 @@ pub(crate) fn open_request_span(req: &Request, shared: &Arc<Shared>) -> RequestS
     let remote_parent =
         req.header("x-parent-span").and_then(SpanId::from_hex).unwrap_or(SpanId::NONE);
     let root = rec.next_span_id();
-    RequestSpan { trace_id, root, remote_parent, started }
-}
-
-/// Closes the request envelope: record the root `request` span, log the
-/// request if slow, and stamp `x-trace-id` on the response.
-pub(crate) fn close_request_span(
-    span: RequestSpan,
-    shared: &Arc<Shared>,
-    resp: Response,
-) -> Response {
-    let RequestSpan { trace_id, root, remote_parent, started } = span;
-    let rec = &shared.recorder;
+    let resp = interior(TraceCtx { trace_id, root }, started);
     let end = shared.cfg.clock.now();
     rec.record_span_with_id(
         root,
@@ -820,23 +730,10 @@ pub(crate) fn close_request_span(
     resp.with_header("x-trace-id", trace_id.to_hex())
 }
 
-/// Wraps a front-door handler in the shared request envelope: adopt the
-/// propagated trace (or mint one), record the root `request` span, log
-/// slow requests, and stamp `x-trace-id` on the response.
-fn with_request_span(
-    req: &Request,
-    shared: &Arc<Shared>,
-    interior: impl FnOnce(TraceId, SpanId, Instant) -> Response,
-) -> Response {
-    let span = open_request_span(req, shared);
-    let resp = interior(span.trace_id, span.root, span.started);
-    close_request_span(span, shared, resp)
-}
-
 /// The `POST /elect` front door: validate, pick candidates, forward
-/// with failover and hedging, inside the shared trace envelope.
+/// with failover and hedging, inside the request envelope.
 fn handle_elect(req: &Request, shared: &Arc<Shared>) -> Response {
-    with_request_span(req, shared, |trace_id, root, started| {
+    with_request_span(req, shared, |ctx, started| {
         // Validate locally so garbage is never forwarded; the error body
         // is byte-identical to what a backend would have answered.
         match ElectRequest::from_json(&req.body) {
@@ -849,15 +746,8 @@ fn handle_elect(req: &Request, shared: &Arc<Shared>) -> Response {
                         error_json("no backends configured (awaiting control-plane config)"),
                     )
                 } else {
-                    let resp = forward(
-                        shared,
-                        &topo,
-                        &request.labels,
-                        "/elect",
-                        &req.body,
-                        started,
-                        TraceCtx { trace_id, root },
-                    );
+                    let resp =
+                        forward(shared, &topo, &request.labels, "/elect", &req.body, started, ctx);
                     let spent = shared.cfg.clock.now().saturating_duration_since(started);
                     shared.metrics.request_latency.record(spent);
                     resp
@@ -872,13 +762,22 @@ fn handle_elect(req: &Request, shared: &Arc<Shared>) -> Response {
 /// forward one sub-batch per owning backend (each with the full
 /// breaker/failover/hedging treatment), and scatter the answers back
 /// into request order.
-pub(crate) fn handle_elect_batch(req: &Request, shared: &Arc<Shared>) -> Response {
-    with_request_span(req, shared, |trace_id, root, started| {
-        let resp = batch_response(&req.body, shared, started, TraceCtx { trace_id, root });
+fn handle_elect_batch(req: &Request, shared: &Arc<Shared>) -> Response {
+    with_request_span(req, shared, |ctx, started| {
+        let resp = batch_response(&req.body, shared, started, ctx);
         let spent = shared.cfg.clock.now().saturating_duration_since(started);
         shared.metrics.request_latency.record(spent);
         resp
     })
+}
+
+/// One backend's share of a batch: a representative label sequence
+/// (every entry in the group shards to the same backend), the original
+/// entry indices to scatter answers back to, and the entry bodies.
+struct ShardBatch {
+    labels: Vec<u64>,
+    members: Vec<usize>,
+    bodies: Vec<String>,
 }
 
 /// The traced interior of [`handle_elect_batch`]. Entries that fail
@@ -890,15 +789,6 @@ pub(crate) fn handle_elect_batch(req: &Request, shared: &Arc<Shared>) -> Respons
 /// (shard unreachable, budget exhausted) scatters its error document to
 /// every entry it carried; the batch itself still answers 200, with
 /// `x-batch-errors` counting the affected entries.
-/// One backend's share of a batch: a representative label sequence
-/// (every entry in the group shards to the same backend), the original
-/// entry indices to scatter answers back to, and the entry bodies.
-struct ShardBatch {
-    labels: Vec<u64>,
-    members: Vec<usize>,
-    bodies: Vec<String>,
-}
-
 fn batch_response(body: &[u8], shared: &Arc<Shared>, started: Instant, ctx: TraceCtx) -> Response {
     ClusterMetrics::inc(&shared.metrics.batch_requests);
     let entries = match hre_svc::batch_from_json(body) {
@@ -1005,16 +895,19 @@ fn batch_response(body: &[u8], shared: &Arc<Shared>, started: Instant, ctx: Trac
         .with_header("x-batch-errors", failed_entries.to_string())
 }
 
-/// Candidate selection against one topology snapshot: ring walk from
-/// the shard key, open breakers skipped (fail-open to the full ring if
-/// that leaves nobody), with the `hash` and `breaker_check` spans and
-/// the skip-failover counters recorded. Shared by both serving cores.
-pub(crate) fn plan_candidates(
+/// Candidate selection + the failover/hedge race, all against one
+/// topology snapshot. Candidates come from a ring walk from the shard
+/// key with open breakers skipped (fail-open to the full ring if that
+/// leaves nobody), recorded as the `hash` and `breaker_check` spans.
+fn forward(
     shared: &Arc<Shared>,
     topo: &Arc<Topology>,
     labels: &[u64],
+    path: &'static str,
+    body: &[u8],
+    started: Instant,
     ctx: TraceCtx,
-) -> Vec<usize> {
+) -> Response {
     let TraceCtx { trace_id, root } = ctx;
     let rec = &shared.recorder;
     let hash_start = shared.cfg.clock.now();
@@ -1050,23 +943,6 @@ pub(crate) fn plan_candidates(
     for &skipped in order.iter().filter(|i| !candidates.contains(i)) {
         ClusterMetrics::inc(&topo.slots[skipped].metrics.failovers);
     }
-    candidates
-}
-
-/// Candidate selection + the failover/hedge race, all against one
-/// topology snapshot.
-fn forward(
-    shared: &Arc<Shared>,
-    topo: &Arc<Topology>,
-    labels: &[u64],
-    path: &'static str,
-    body: &[u8],
-    started: Instant,
-    ctx: TraceCtx,
-) -> Response {
-    let TraceCtx { trace_id, root } = ctx;
-    let rec = &shared.recorder;
-    let candidates = plan_candidates(shared, topo, labels, ctx);
 
     let deadline = started + shared.cfg.deadline;
     let body = Arc::new(body.to_vec());
@@ -1201,7 +1077,7 @@ fn forward(
 
 /// Relays a backend response to the client, tagging which backend
 /// answered and preserving the headers clients act on.
-pub(crate) fn pass_through(resp: &ClientResponse, backend: &str) -> Response {
+fn pass_through(resp: &ClientResponse, backend: &str) -> Response {
     let mut out =
         Response::json(resp.status, resp.body_text()).with_header("x-backend", backend.to_string());
     for name in ["retry-after", "x-cache"] {

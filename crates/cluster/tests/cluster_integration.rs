@@ -5,14 +5,14 @@
 //! answered by one backend, byte-identically to a direct backend call),
 //! breaker-driven failover when a backend dies mid-traffic, hedged
 //! retries when a backend stalls, and the `/cluster` + `/metrics`
-//! observability surfaces.
-//!
-//! Every behavioral test runs under both serving cores (`--io threads`
-//! and, on unix, `--io epoll`), and one test pins the two modes to
-//! byte-identical answers over a single keep-alive connection.
+//! observability surfaces, and one keep-alive connection whose every
+//! answer is checked against the in-process election bytes.
 
-use hre_cluster::{start, ClusterConfig, IoMode};
-use hre_svc::{start as start_svc, Client, ServerHandle, SvcConfig};
+use hre_cluster::{start, ClusterConfig};
+use hre_svc::{
+    batch_from_json, batch_response_body, error_json, response_json, run_election,
+    start as start_svc, Client, ElectRequest, ServerHandle, SvcConfig,
+};
 use std::time::Duration;
 
 /// Spins up `n` default-ish backends; returns their handles + addrs.
@@ -45,16 +45,6 @@ fn body_for(labels: &[u64]) -> String {
 
 #[test]
 fn routes_with_rotation_affinity_and_backend_agreement() {
-    routes_with_rotation_affinity(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn routes_with_rotation_affinity_and_backend_agreement_epoll() {
-    routes_with_rotation_affinity(IoMode::Epoll);
-}
-
-fn routes_with_rotation_affinity(io: IoMode) {
     let (handles, addrs) = backends(3, SvcConfig::default());
     // Hedging off (huge floor): this test pins down *placement*, and a
     // hedge fired against a slow debug build would legitimately let a
@@ -62,7 +52,6 @@ fn routes_with_rotation_affinity(io: IoMode) {
     let router = start(ClusterConfig {
         backends: addrs.clone(),
         hedge_min: Duration::from_secs(10),
-        io,
         ..Default::default()
     })
     .expect("router");
@@ -115,16 +104,6 @@ fn routes_with_rotation_affinity(io: IoMode) {
 
 #[test]
 fn fails_over_when_a_backend_dies_and_reports_the_breaker() {
-    fails_over_when_a_backend_dies(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn fails_over_when_a_backend_dies_and_reports_the_breaker_epoll() {
-    fails_over_when_a_backend_dies(IoMode::Epoll);
-}
-
-fn fails_over_when_a_backend_dies(io: IoMode) {
     let (mut handles, addrs) = backends(3, SvcConfig::default());
     let router = start(ClusterConfig {
         backends: addrs.clone(),
@@ -134,7 +113,6 @@ fn fails_over_when_a_backend_dies(io: IoMode) {
         health_interval: Duration::from_millis(25),
         timeout: Duration::from_millis(800),
         hedge_min: Duration::from_secs(10), // placement must stay deterministic
-        io,
         ..Default::default()
     })
     .expect("router");
@@ -195,16 +173,6 @@ fn fails_over_when_a_backend_dies(io: IoMode) {
 
 #[test]
 fn hedges_a_stalled_backend_and_takes_the_fast_answer() {
-    hedges_a_stalled_backend(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn hedges_a_stalled_backend_and_takes_the_fast_answer_epoll() {
-    hedges_a_stalled_backend(IoMode::Epoll);
-}
-
-fn hedges_a_stalled_backend(io: IoMode) {
     // Backend 0: single worker, no cache — easy to stall with one big
     // election. Backend 1: healthy.
     let slow_cfg = SvcConfig {
@@ -223,7 +191,6 @@ fn hedges_a_stalled_backend(io: IoMode) {
         timeout: Duration::from_secs(20),
         // Keep the prober from stealing the single worker's attention.
         health_interval: Duration::from_millis(500),
-        io,
         ..Default::default()
     })
     .expect("router");
@@ -272,8 +239,7 @@ fn hedges_a_stalled_backend(io: IoMode) {
     }
 
     // The hedge flew as an extra in-flight request, and once everything
-    // resolved the in-flight gauge reconciles back to zero — under the
-    // epoll core that is the proof no pool thread was ever consumed.
+    // resolved the in-flight gauge reconciles back to zero.
     let gauge = |metrics: &str| -> i64 {
         metrics
             .lines()
@@ -302,16 +268,6 @@ fn hedges_a_stalled_backend(io: IoMode) {
 
 #[test]
 fn trace_propagates_cluster_to_svc_to_core_across_a_failover() {
-    trace_propagates_across_a_failover(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn trace_propagates_cluster_to_svc_to_core_across_a_failover_epoll() {
-    trace_propagates_across_a_failover(IoMode::Epoll);
-}
-
-fn trace_propagates_across_a_failover(io: IoMode) {
     use hre_runtime::trace::{is_connected_tree, Stage, TraceId};
 
     let (mut handles, addrs) = backends(2, SvcConfig::default());
@@ -324,7 +280,6 @@ fn trace_propagates_across_a_failover(io: IoMode) {
         health_interval: Duration::from_secs(30),
         timeout: Duration::from_millis(800),
         hedge_min: Duration::from_secs(10),
-        io,
         ..Default::default()
     })
     .expect("router");
@@ -403,22 +358,11 @@ fn trace_propagates_across_a_failover(io: IoMode) {
 
 #[test]
 fn batch_fans_out_by_shard_and_matches_singles_byte_for_byte() {
-    batch_fans_out_by_shard(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn batch_fans_out_by_shard_and_matches_singles_byte_for_byte_epoll() {
-    batch_fans_out_by_shard(IoMode::Epoll);
-}
-
-fn batch_fans_out_by_shard(io: IoMode) {
     let (handles, addrs) = backends(3, SvcConfig::default());
     // Hedging off: placement must stay deterministic for byte-equality.
     let router = start(ClusterConfig {
         backends: addrs.clone(),
         hedge_min: Duration::from_secs(10),
-        io,
         ..Default::default()
     })
     .expect("router");
@@ -505,19 +449,8 @@ fn batch_scatters_shard_errors_to_the_entries_it_carried() {
 
 #[test]
 fn garbage_is_rejected_locally_and_unknown_paths_404() {
-    garbage_is_rejected_locally(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn garbage_is_rejected_locally_and_unknown_paths_404_epoll() {
-    garbage_is_rejected_locally(IoMode::Epoll);
-}
-
-fn garbage_is_rejected_locally(io: IoMode) {
     let (handles, addrs) = backends(1, SvcConfig::default());
-    let router =
-        start(ClusterConfig { backends: addrs, io, ..Default::default() }).expect("router");
+    let router = start(ClusterConfig { backends: addrs, ..Default::default() }).expect("router");
     let mut c = client(&router.addr.to_string());
 
     let resp = c.post_json("/elect", "not json").expect("garbage");
@@ -539,64 +472,79 @@ fn garbage_is_rejected_locally(io: IoMode) {
     }
 }
 
-/// The io-mode equivalence pin for the router: the same request
-/// sequence — routed elections across several shards, validation
-/// failures, a batch with mixed outcomes, and the observability
-/// endpoints' statuses — served over one keep-alive connection through
-/// a `--io threads` router and a `--io epoll` router **in front of the
-/// same backends** must produce byte-identical bodies, identical
-/// statuses, and identical headers modulo the random `x-trace-id`.
-#[test]
-#[cfg(unix)]
-fn io_modes_route_identical_bytes_on_one_keepalive_connection() {
-    let (handles, addrs) = backends(3, SvcConfig::default());
-
-    type Exchange = (u16, Vec<(String, String)>, Vec<u8>);
-    let route = |io: IoMode| -> Vec<Exchange> {
-        // Hedging off so placement (and thus `x-backend`) is
-        // deterministic and identical between the two routers.
-        let router = start(ClusterConfig {
-            backends: addrs.clone(),
-            hedge_min: Duration::from_secs(10),
-            io,
-            ..Default::default()
-        })
-        .expect("router");
-        let mut c = client(&router.addr.to_string());
-        let mut reqs: Vec<(&str, String)> =
-            rings().iter().map(|labels| ("/elect", body_for(labels))).collect();
-        reqs.push(("/elect", r#"{"ring":[1]}"#.into())); // 400, keep-alive
-        reqs.push(("/elect", "not json".into())); // 400, keep-alive
-        reqs.push((
-            "/elect/batch",
-            r#"[{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"},{"ring":[1]},{"ring":[5,1,5,2],"algo":"cr"}]"#
-                .into(),
-        ));
-        reqs.push(("/elect", body_for(&rings()[0]))); // cache-hit replay
-        let mut got = Vec::new();
-        for (path, body) in &reqs {
-            let resp = c.post_json(path, body).expect("served on the same connection");
-            let mut headers = resp.headers.clone();
-            // `x-cache` is backend state, not router behavior: the first
-            // router run warms the shared backends, so the second run
-            // legitimately sees HITs where the first saw MISSes.
-            headers.retain(|(k, _)| k != "x-trace-id" && k != "x-cache");
-            got.push((resp.status, headers, resp.body.clone()));
+/// What a backend answers to one `/elect` body, computed in process the
+/// way the daemon computes it: parse, elect in canonical coordinates,
+/// map the leader back, render.
+fn expected_elect(body: &str) -> (u16, String) {
+    match ElectRequest::from_json(body.as_bytes()) {
+        Err(why) => (400, error_json(&why)),
+        Ok(req) => {
+            let (canon, d) = req.canonicalized();
+            match run_election(&canon) {
+                Ok(out) => (200, response_json(&req, &out.into_coords(d, req.labels.len()))),
+                Err(why) => (422, error_json(&why)),
+            }
         }
-        for path in ["/healthz", "/cluster", "/metrics", "/nope"] {
-            // Status only: these bodies legitimately carry counters.
-            got.push((c.get(path).expect("aux").status, Vec::new(), Vec::new()));
-        }
-        router.shutdown();
-        got
-    };
-
-    let threads = route(IoMode::Threads);
-    let epoll = route(IoMode::Epoll);
-    assert_eq!(threads.len(), epoll.len());
-    for (i, (t, e)) in threads.iter().zip(&epoll).enumerate() {
-        assert_eq!(t, e, "request {i} diverged between io modes");
     }
+}
+
+/// One keep-alive connection to the router carries routed elections
+/// across several shards, validation failures, a batch with mixed
+/// outcomes, a cache-hit replay and the observability endpoints. Every
+/// election answer must be byte-identical to the in-process election
+/// rendered by the same functions, and come from the ring's home
+/// backend.
+#[test]
+fn one_keepalive_connection_routes_the_in_process_bytes() {
+    let (handles, addrs) = backends(3, SvcConfig::default());
+    // Hedging off so every answer comes from the home backend.
+    let router = start(ClusterConfig {
+        backends: addrs.clone(),
+        hedge_min: Duration::from_secs(10),
+        ..Default::default()
+    })
+    .expect("router");
+    let mut c = client(&router.addr.to_string());
+
+    // (body, home backend, x-cache)
+    let routed =
+        |labels: &[u64], cache| (body_for(labels), Some(router.primary_backend(labels)), cache);
+    let mut singles: Vec<(String, Option<String>, Option<&str>)> =
+        rings().iter().map(|labels| routed(labels, Some("MISS"))).collect();
+    singles.push((r#"{"ring":[1]}"#.into(), None, None)); // 400, never forwarded
+    singles.push(("not json".into(), None, None)); // 400, never forwarded
+    singles.push(routed(&rings()[0], Some("HIT"))); // replay
+    for (i, (body, home, cache)) in singles.iter().enumerate() {
+        let resp = c.post_json("/elect", body).expect("served on the same connection");
+        let (status, want) = expected_elect(body);
+        assert_eq!(resp.status, status, "request {i}: {}", resp.body_text());
+        assert_eq!(resp.body_text(), want, "request {i}");
+        assert_eq!(resp.header("x-backend"), home.as_deref(), "request {i}");
+        assert_eq!(resp.header("x-cache"), *cache, "request {i}");
+        assert_eq!(resp.header("connection"), Some("keep-alive"), "request {i}");
+    }
+
+    let batch =
+        r#"[{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"},{"ring":[1]},{"ring":[5,1,5,2],"algo":"cr"}]"#;
+    let parts: Vec<String> = batch_from_json(batch.as_bytes())
+        .expect("a valid batch")
+        .into_iter()
+        .map(|entry| match entry {
+            Ok(req) => expected_elect(&req.to_json().to_string()).1,
+            Err(why) => error_json(&why),
+        })
+        .collect();
+    let resp = c.post_json("/elect/batch", batch).expect("batch on the same connection");
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    assert_eq!(resp.body_text(), batch_response_body(&parts));
+    assert_eq!(resp.header("x-batch-errors"), Some("0"));
+
+    for (path, status) in [("/healthz", 200), ("/cluster", 200), ("/metrics", 200), ("/nope", 404)]
+    {
+        assert_eq!(c.get(path).expect("aux on the same connection").status, status, "{path}");
+    }
+    let summary = router.shutdown();
+    assert_eq!(summary.request_errors, 0, "{summary}");
     for h in handles {
         h.shutdown();
     }

@@ -442,7 +442,7 @@ mod tests {
     fn theorem2_bounds_hold() {
         let mut rng = StdRng::seed_from_u64(23);
         for &(n, k, a) in &[(4usize, 2usize, 3u64), (6, 2, 3), (8, 3, 3), (10, 2, 5), (12, 4, 3)] {
-            let ring = generate::random_a_inter_kk(n, k, a, &mut rng);
+            let ring = generate::random_a_inter_kk(n, k, a, &mut rng).unwrap();
             let b = ring.label_bits() as u64;
             let rep = default_run(&ring, k);
             assert!(rep.clean());

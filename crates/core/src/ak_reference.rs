@@ -179,7 +179,7 @@ mod tests {
     fn differential_random_rings() {
         let mut rng = StdRng::seed_from_u64(1234);
         for _ in 0..15 {
-            let ring = generate::random_a_inter_kk(9, 3, 4, &mut rng);
+            let ring = generate::random_a_inter_kk(9, 3, 4, &mut rng).unwrap();
             traces_identical(&ring, 3);
         }
     }

@@ -441,7 +441,7 @@ mod tests {
     fn random_rings_elect_true_leader() {
         let mut rng = StdRng::seed_from_u64(77);
         for &(n, k, a) in &[(6usize, 2usize, 3u64), (8, 3, 3), (10, 2, 5), (12, 4, 3)] {
-            let ring = generate::random_a_inter_kk(n, k, a, &mut rng);
+            let ring = generate::random_a_inter_kk(n, k, a, &mut rng).unwrap();
             let rep = default_run(&ring, k.max(2));
             assert!(rep.clean(), "{ring:?}");
             assert_eq!(rep.leader, ring.true_leader(), "{ring:?}");
@@ -452,7 +452,7 @@ mod tests {
     fn space_is_constant_and_matches_formula() {
         let mut rng = StdRng::seed_from_u64(5);
         for k in [2usize, 3, 4, 8] {
-            let ring = generate::random_a_inter_kk(8, k.min(3), 4, &mut rng);
+            let ring = generate::random_a_inter_kk(8, k.min(3), 4, &mut rng).unwrap();
             let b = ring.label_bits() as u64;
             let rep = default_run(&ring, k);
             assert!(rep.clean());
@@ -481,7 +481,7 @@ mod tests {
         // <= c k^2 n^2 with c small. We assert the generous closed forms.
         let mut rng = StdRng::seed_from_u64(9);
         for &(n, k, a) in &[(4usize, 2usize, 3u64), (6, 2, 3), (8, 3, 3), (10, 3, 4)] {
-            let ring = generate::random_a_inter_kk(n, k, a, &mut rng);
+            let ring = generate::random_a_inter_kk(n, k, a, &mut rng).unwrap();
             let rep = default_run(&ring, k.max(2));
             assert!(rep.clean());
             let k64 = k.max(2) as u64;

@@ -30,7 +30,7 @@ fn rec() -> RunOptions {
 fn arb_ring() -> impl Strategy<Value = RingLabeling> {
     (3usize..=7, any::<u64>()).prop_map(|(n, seed)| {
         let mut rng = StdRng::seed_from_u64(seed);
-        generate::random_a_inter_kk(n, n, 3, &mut rng)
+        generate::random_a_inter_kk(n, n, 3, &mut rng).unwrap()
     })
 }
 

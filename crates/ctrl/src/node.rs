@@ -272,7 +272,11 @@ pub fn start(cfg: CtrlConfig) -> std::io::Result<CtrlHandle> {
 
     let acceptor = {
         let inner = Arc::clone(&inner);
-        std::thread::spawn(move || acceptor_loop(listener, &inner))
+        std::thread::spawn(move || {
+            hre_runtime::serve_connections(&listener, &inner.shutdown, |stream| {
+                connection_loop(stream, &inner)
+            });
+        })
     };
     let manager = {
         let inner = Arc::clone(&inner);
@@ -491,33 +495,6 @@ fn accept_config(inner: &Inner, topo: ClusterTopology) -> Result<(), String> {
 // ---------------------------------------------------------------------
 // HTTP surface
 // ---------------------------------------------------------------------
-
-fn acceptor_loop(listener: TcpListener, inner: &Arc<Inner>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !inner.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let inner = Arc::clone(inner);
-                conns.push(std::thread::spawn(move || connection_loop(stream, &inner)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-        if conns.len() > 16 {
-            let (done, live): (Vec<_>, Vec<_>) = conns.into_iter().partition(|h| h.is_finished());
-            for h in done {
-                let _ = h.join();
-            }
-            conns = live;
-        }
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
 
 fn connection_loop(stream: TcpStream, inner: &Arc<Inner>) {
     let Ok(mut conn) = HttpConn::new(stream, POLL) else { return };

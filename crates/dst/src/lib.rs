@@ -29,6 +29,8 @@
 //! plan yields the same transcript hash on any machine at any
 //! parallelism.
 
+#![forbid(unsafe_code)]
+
 pub mod oracle;
 pub mod scenario;
 pub mod sweep;

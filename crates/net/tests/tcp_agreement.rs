@@ -22,7 +22,7 @@ fn sample_rings(count: usize, max_n: usize, seed: u64) -> Vec<(RingLabeling, usi
                 // rejection over a small alphabet would almost never hit it.
                 (generate::random_k1(n, &mut rng), k)
             } else {
-                (generate::random_a_inter_kk(n, k, 4 * n as u64, &mut rng), k)
+                (generate::random_a_inter_kk(n, k, 4 * n as u64, &mut rng).unwrap(), k)
             }
         })
         .collect()
@@ -134,7 +134,7 @@ fn traced_run_records_retransmit_and_reassembly_events() {
     let trace = rec.mint_trace();
     let parent = SpanId(0x42);
     let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let ring = generate::random_a_inter_kk(10, 3, 40, &mut rng);
+    let ring = generate::random_a_inter_kk(10, 3, 40, &mut rng).unwrap();
     let rep = run_tcp_traced(&Ak::new(3), &ring, opts, Some((Arc::clone(&rec), trace, parent)));
     assert!(rep.clean(), "traced faulted run must still elect cleanly");
     assert!(rep.net.total.frames_retried > 0, "stress mix should retransmit");

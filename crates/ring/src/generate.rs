@@ -19,25 +19,46 @@ pub fn random_k1<R: Rng>(n: usize, rng: &mut R) -> RingLabeling {
     RingLabeling::from_raw(&pool)
 }
 
-/// A random asymmetric ring in `Kk` over an alphabet of `alphabet` labels,
-/// by rejection sampling. Panics if the parameters make the class empty or
-/// astronomically unlikely (`alphabet ≥ 2` and `alphabet · k ≥ n` required).
-pub fn random_a_inter_kk<R: Rng>(n: usize, k: usize, alphabet: u64, rng: &mut R) -> RingLabeling {
+/// A random asymmetric ring in `Kk` over an alphabet of `alphabet` labels.
+///
+/// Each position draws a label uniformly from those still used fewer
+/// than `k` times, so every draw is already in `Kk`; draws that come out
+/// symmetric are redrawn. Returns `Err` when the class is empty
+/// (`alphabet < 2` for `n ≥ 2`, or `alphabet · k < n`).
+pub fn random_a_inter_kk<R: Rng>(
+    n: usize,
+    k: usize,
+    alphabet: u64,
+    rng: &mut R,
+) -> Result<RingLabeling, String> {
     assert!(n >= 2);
     assert!(k >= 1);
-    assert!(alphabet >= 2, "one-letter rings are never asymmetric for n >= 2");
-    assert!(
-        (alphabet as usize).saturating_mul(k) >= n,
-        "no labeling of n={n} with multiplicity <= {k} over {alphabet} labels"
-    );
+    if alphabet < 2 {
+        return Err(format!("no asymmetric ring of n={n} over {alphabet} label(s)"));
+    }
+    if (alphabet as usize).saturating_mul(k) < n {
+        return Err(format!(
+            "no labeling of n={n} with multiplicity <= {k} over {alphabet} labels"
+        ));
+    }
+    let mut counts = vec![0usize; alphabet as usize];
     for _ in 0..100_000 {
-        let raw: Vec<u64> = (0..n).map(|_| rng.gen_range(0..alphabet)).collect();
+        counts.fill(0);
+        let raw: Vec<u64> = (0..n)
+            .map(|_| loop {
+                let label = rng.gen_range(0..alphabet);
+                if counts[label as usize] < k {
+                    counts[label as usize] += 1;
+                    break label;
+                }
+            })
+            .collect();
         let ring = RingLabeling::from_raw(&raw);
-        if ring.is_asymmetric() && ring.in_kk(k) {
-            return ring;
+        if ring.is_asymmetric() {
+            return Ok(ring);
         }
     }
-    panic!("rejection sampling failed for n={n} k={k} alphabet={alphabet}");
+    Err(format!("no asymmetric ring found for n={n} k={k} alphabet={alphabet}"))
 }
 
 /// A random asymmetric ring whose maximum multiplicity is **exactly** `k`
@@ -174,7 +195,7 @@ mod tests {
         let mut r = rng(2);
         for &(n, k, a) in &[(5usize, 2usize, 3u64), (8, 3, 3), (12, 4, 4), (20, 5, 6)] {
             for _ in 0..20 {
-                let ring = random_a_inter_kk(n, k, a, &mut r);
+                let ring = random_a_inter_kk(n, k, a, &mut r).unwrap();
                 assert_eq!(ring.n(), n);
                 assert!(ring.is_asymmetric());
                 assert!(ring.in_kk(k));
@@ -259,8 +280,14 @@ mod tests {
 
     #[test]
     fn generators_are_deterministic_from_seed() {
-        let a = random_a_inter_kk(10, 3, 4, &mut rng(42));
-        let b = random_a_inter_kk(10, 3, 4, &mut rng(42));
+        let a = random_a_inter_kk(10, 3, 4, &mut rng(42)).unwrap();
+        let b = random_a_inter_kk(10, 3, 4, &mut rng(42)).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_inter_kk_reports_an_empty_class() {
+        assert!(random_a_inter_kk(5, 2, 2, &mut rng(0)).is_err());
+        assert!(random_a_inter_kk(4, 4, 1, &mut rng(0)).is_err());
     }
 }

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 fn arb_asymmetric_ring() -> impl Strategy<Value = RingLabeling> {
     (2usize..12, 2u64..5, any::<u64>()).prop_map(|(n, alphabet, seed)| {
         let mut rng = StdRng::seed_from_u64(seed);
-        generate::random_a_inter_kk(n, n, alphabet, &mut rng)
+        generate::random_a_inter_kk(n, n, alphabet, &mut rng).unwrap()
     })
 }
 

@@ -15,31 +15,25 @@
 //! Used by the E11 experiment for wall-clock benchmarking and by
 //! integration tests to confirm simulator/thread-runtime agreement.
 
-// `deny`, not `forbid`: the epoll reactor ([`reactor`]) needs one
-// scoped `#[allow(unsafe_code)]` for its raw-glibc syscall shim — the
-// same hand-rolled no-new-deps discipline as the vendored signal-hook
-// crate. Everything else in the crate remains statically unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod accept;
 pub mod backoff;
 pub mod clock;
 pub mod driver;
 pub mod epoch;
 pub mod fabric;
 pub mod hist;
-pub mod net;
-pub mod reactor;
 pub mod trace;
 
+pub use accept::serve_connections;
 pub use backoff::Backoff;
 pub use clock::{Clock, ClockHandle, RealClock, VirtualClock};
 pub use driver::{drive_node, NodeTransport, RecvFault, SendFault, ThreadOutcome};
 pub use epoch::EpochClock;
 pub use fabric::{Datagram, LinkProfile, NetFabric, SimFabric, ThreadFabric};
 pub use hist::{bucket_of, render_prometheus_histogram, HistSnapshot, Log2Histogram, LOG2_BUCKETS};
-pub use net::{tcp_connect_nonblocking, ConnectStart};
-pub use reactor::{Event, Interest, PollOutcome, Reactor, TimerKey, Waker, WAKE_TOKEN};
 pub use trace::{FlightRecorder, SpanAttrs, SpanId, SpanRecord, Stage, TraceId, DEFAULT_TRACE_CAP};
 
 use crossbeam::channel::{
@@ -255,7 +249,7 @@ mod tests {
     fn threaded_and_simulated_agree() {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..5 {
-            let ring = generate::random_a_inter_kk(8, 3, 3, &mut rng);
+            let ring = generate::random_a_inter_kk(8, 3, 3, &mut rng).unwrap();
             let sim =
                 run(&Ak::new(3), &ring, &mut RoundRobinSched::default(), RunOptions::default());
             let thr = run_threaded(&Ak::new(3), &ring, ThreadedOptions::default());
@@ -304,7 +298,7 @@ mod tests {
     #[test]
     fn bounded_and_unbounded_agree_on_messages() {
         let mut rng = StdRng::seed_from_u64(19);
-        let ring = generate::random_a_inter_kk(10, 3, 4, &mut rng);
+        let ring = generate::random_a_inter_kk(10, 3, 4, &mut rng).unwrap();
         let unbounded_rep = run_threaded(&Ak::new(3), &ring, ThreadedOptions::default());
         let bounded_rep = run_threaded(
             &Ak::new(3),

@@ -69,7 +69,7 @@ pub struct LoadReport {
     /// Per-request latencies in microseconds, sorted ascending.
     pub latencies_us: Vec<u64>,
     /// Each connection's own p99 latency in microseconds, sorted
-    /// ascending — the fairness lens: a reactor that starves one
+    /// ascending — the fairness lens: a server that starves one
     /// connection shows up here even when the aggregate p99 looks fine.
     pub conn_p99_us: Vec<u64>,
 }

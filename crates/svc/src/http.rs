@@ -9,9 +9,8 @@
 //! that accept input split at *any* byte boundary — one byte at a time
 //! included — and produce identical results regardless of how TCP
 //! segments the stream (property-tested in
-//! `tests/http_parser_props.rs`). The blocking [`HttpConn`] / [`Client`]
-//! paths and the `--io epoll` reactor connections drive the *same*
-//! parsers, so the two serving modes cannot disagree about framing.
+//! `tests/http_parser_props.rs`). The server's [`HttpConn`] and the
+//! [`Client`] drive these parsers off blocking sockets.
 //!
 //! Deliberately out of scope: chunked transfer encoding, TLS, and
 //! multi-line headers. Requests using unsupported features get a clean
@@ -101,8 +100,7 @@ enum ReqState {
 /// Push-based HTTP/1.1 **request** parser: feed arbitrary byte chunks
 /// with [`RequestParser::push`], harvest requests with
 /// [`RequestParser::step`]. Outcomes are independent of how the input
-/// is split — the property the `--io epoll` mode's edge-triggered reads
-/// (and any TCP segmentation) rely on.
+/// is split, so any TCP segmentation frames requests the same way.
 pub struct RequestParser {
     buf: Vec<u8>,
     max_body: usize,
@@ -465,10 +463,8 @@ impl Response {
         }
     }
 
-    /// The full wire serialization — head and body. Both serving modes
-    /// emit responses through this one function, so `--io threads` and
-    /// `--io epoll` are byte-identical by construction.
-    pub fn to_bytes(&self, close: bool) -> Vec<u8> {
+    /// The full wire serialization — head and body.
+    fn to_bytes(&self, close: bool) -> Vec<u8> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
             self.status,
@@ -541,9 +537,7 @@ enum RespState {
 }
 
 /// Push-based HTTP/1.1 **response** parser — the client-side twin of
-/// [`RequestParser`], driven by the multiplexed nonblocking backend
-/// connections of the cluster's `--io epoll` mode and by the blocking
-/// [`Client`].
+/// [`RequestParser`], driven by the blocking [`Client`].
 pub struct ResponseParser {
     buf: Vec<u8>,
     max_body: usize,
@@ -573,11 +567,6 @@ impl ResponseParser {
             RespState::Head => Phase::Head,
             RespState::Body { .. } => Phase::Body,
         }
-    }
-
-    /// `true` when nothing is buffered and no response is mid-parse.
-    pub fn is_idle(&self) -> bool {
-        self.buf.is_empty() && matches!(self.state, RespState::Head)
     }
 
     /// Tries to make progress on the buffered bytes.
@@ -645,10 +634,9 @@ impl ResponseParser {
     }
 }
 
-/// The wire serialization of one client request — the single source of
-/// both the blocking [`Client::send`] and the reactor's multiplexed
-/// backend writes.
-pub fn request_bytes(
+/// The wire serialization of one client request, as [`Client::send`]
+/// writes it.
+fn request_bytes(
     method: &str,
     path: &str,
     host: &str,

@@ -34,8 +34,6 @@
 pub mod api;
 pub mod bench;
 pub mod cache;
-#[cfg(unix)]
-pub(crate) mod eventloop;
 pub mod http;
 pub mod json;
 pub mod metrics;
@@ -49,9 +47,9 @@ pub use api::{
 pub use bench::{run_load, LoadOptions, LoadReport};
 pub use cache::{CacheKey, CacheSnapshot, ShardedLru};
 pub use http::{
-    request_bytes, Client, ClientResponse, ParseStep, Phase, Request, RequestParser, RespStep,
-    Response, ResponseParser, DEFAULT_MAX_BODY,
+    Client, ClientResponse, ParseStep, Phase, Request, RequestParser, RespStep, Response,
+    ResponseParser, DEFAULT_MAX_BODY,
 };
 pub use json::Json;
 pub use metrics::{naming_violations, SvcMetrics};
-pub use server::{start, IoMode, ServerHandle, StatusProvider, SvcConfig, SvcSummary};
+pub use server::{start, ServerHandle, StatusProvider, SvcConfig, SvcSummary};

@@ -70,12 +70,8 @@ pub struct SvcMetrics {
     pub workers_busy: AtomicI64,
     /// Total microseconds workers spent running jobs (for utilization).
     pub worker_busy_us: AtomicU64,
-    /// TCP connections currently open (gauge) — maintained by both
-    /// serving cores.
+    /// TCP connections currently open (gauge).
     pub open_connections: AtomicI64,
-    /// `epoll_wait` returns on the reactor thread; stays 0 under
-    /// `--io threads`.
-    pub reactor_wakeups: AtomicU64,
     /// Hedged requests currently in flight (gauge). Always 0 in the
     /// single-node daemon — the series exists so svc and cluster
     /// dashboards share one vocabulary; the router maintains it.
@@ -190,12 +186,6 @@ impl SvcMetrics {
             "hre_batch_entry_hits_total",
             "batch entries answered from the result cache",
             self.batch_entry_hits.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "hre_reactor_wakeups_total",
-            "epoll_wait returns on the reactor thread (0 under --io threads)",
-            self.reactor_wakeups.load(Ordering::Relaxed),
         );
         // The algorithm-zoo family: one labeled series per engine, all
         // slots always exported so dashboards see zeros, not gaps.

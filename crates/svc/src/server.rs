@@ -24,6 +24,11 @@
 //! shared `AtomicBool` (wired to SIGTERM/SIGINT by the CLI) stops the
 //! acceptor, lets in-flight requests finish, drains the queue, then
 //! joins every thread.
+//!
+//! This thread-per-connection core is the daemon's only serving core.
+//! At the connection counts the benchmark drives (one keep-alive
+//! connection per core) it beats an event loop on both throughput and
+//! latency, and it keeps every request on one straight-line call path.
 
 use crate::api::{self, ElectRequest};
 use crate::cache::{CacheKey, CacheSnapshot, CachedResult, ShardedLru};
@@ -39,36 +44,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which serving core drives connection I/O.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// One OS thread per TCP connection (the original core; default).
-    #[default]
-    Threads,
-    /// One epoll reactor thread holds every connection as a state
-    /// machine; worker threads only run elections. Linux-only.
-    Epoll,
-}
-
-impl IoMode {
-    /// Parses the `--io` flag value.
-    pub fn parse(s: &str) -> Option<IoMode> {
-        match s {
-            "threads" => Some(IoMode::Threads),
-            "epoll" => Some(IoMode::Epoll),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            IoMode::Threads => "threads",
-            IoMode::Epoll => "epoll",
-        }
-    }
-}
 
 /// Daemon configuration (defaults match `hre serve`'s flag defaults).
 #[derive(Clone, Debug)]
@@ -101,8 +76,6 @@ pub struct SvcConfig {
     /// I/O pacing stays on the wall clock regardless — it belongs to
     /// the kernel, not the serving logic.
     pub clock: ClockHandle,
-    /// Connection I/O core: thread-per-connection or the epoll reactor.
-    pub io: IoMode,
 }
 
 /// A pluggable source for the `GET /ctrl` status document. The daemon
@@ -144,42 +117,39 @@ impl Default for SvcConfig {
             slow_threshold: Some(Duration::from_secs(1)),
             ctrl_status: None,
             clock: ClockHandle::default(),
-            io: IoMode::default(),
         }
     }
 }
 
 /// How often blocked loops wake up to check the shutdown flag.
-pub(crate) const POLL: Duration = Duration::from_millis(25);
+const POLL: Duration = Duration::from_millis(25);
 
 /// A job admitted to the queue: the request in canonical coordinates,
 /// its cache key, and the single-use reply channel back to the
 /// connection thread. Dropping the job unreplied makes the connection
 /// thread's `recv` disconnect, which it reports as a deadline miss.
-pub(crate) struct Job {
-    pub(crate) canon_req: ElectRequest,
-    pub(crate) key: CacheKey,
-    pub(crate) deadline: Instant,
-    pub(crate) reply: Sender<CachedResult>,
+struct Job {
+    canon_req: ElectRequest,
+    key: CacheKey,
+    deadline: Instant,
+    reply: Sender<CachedResult>,
     /// Trace context: the request's trace, its root span (parent for
     /// the worker-side spans), and when the job entered the queue.
-    pub(crate) trace: TraceId,
-    pub(crate) parent: SpanId,
-    pub(crate) enqueued: Instant,
-    /// Completion signal for the epoll core: after `reply` is sent, the
-    /// worker pushes the connection token here and wakes the reactor.
-    /// `None` on the thread-per-connection path, which blocks on
-    /// `reply` directly.
-    pub(crate) notify: Option<(Sender<u64>, u64, hre_runtime::Waker)>,
+    trace: TraceId,
+    parent: SpanId,
+    enqueued: Instant,
 }
 
 /// Everything the connection threads share.
-pub(crate) struct Shared {
-    pub(crate) cfg: SvcConfig,
-    pub(crate) metrics: SvcMetrics,
-    pub(crate) cache: ShardedLru,
-    pub(crate) recorder: Arc<FlightRecorder>,
-    pub(crate) shutdown: AtomicBool,
+struct Shared {
+    cfg: SvcConfig,
+    metrics: SvcMetrics,
+    cache: ShardedLru,
+    recorder: Arc<FlightRecorder>,
+    /// The drain flag: the acceptor and every connection thread poll
+    /// it, and [`ServerHandle::shutdown_flag`] hands it to the signal
+    /// handler.
+    shutdown: Arc<AtomicBool>,
 }
 
 /// A running daemon. Dropping the handle without calling
@@ -188,7 +158,6 @@ pub struct ServerHandle {
     /// The address actually bound (resolves port 0).
     pub addr: SocketAddr,
     shared: Arc<Shared>,
-    shutdown: Arc<AtomicBool>,
     acceptor: JoinHandle<u64>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -273,9 +242,8 @@ pub fn start(cfg: SvcConfig) -> std::io::Result<ServerHandle> {
         recorder: FlightRecorder::new(cfg.trace_cap),
         cfg: cfg.clone(),
         metrics: SvcMetrics::default(),
-        shutdown: AtomicBool::new(false),
+        shutdown: Arc::new(AtomicBool::new(false)),
     });
-    let shutdown = Arc::new(AtomicBool::new(false));
     let (job_tx, job_rx) = bounded::<Job>(cfg.queue_cap.max(1));
 
     let workers: Vec<JoinHandle<()>> = (0..cfg.workers.max(1))
@@ -287,40 +255,29 @@ pub fn start(cfg: SvcConfig) -> std::io::Result<ServerHandle> {
         .collect();
     drop(job_rx);
 
-    let acceptor = match cfg.io {
-        IoMode::Threads => {
-            let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || acceptor_loop(listener, &shared, &shutdown, job_tx))
-        }
-        #[cfg(unix)]
-        IoMode::Epoll => {
-            // Create the reactor here so an unsupported platform fails
-            // `start` with a clean error instead of a dead thread.
-            let reactor = hre_runtime::Reactor::new()?;
-            let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                crate::eventloop::reactor_loop(reactor, listener, &shared, &shutdown, job_tx)
-            })
-        }
-        #[cfg(not(unix))]
-        IoMode::Epoll => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "--io epoll requires linux",
-            ))
-        }
+    let acceptor = {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || {
+            let accepted = hre_runtime::serve_connections(&listener, &shared.shutdown, |stream| {
+                SvcMetrics::inc(&shared.metrics.connections);
+                connection_loop(stream, &shared, &job_tx);
+            });
+            // `job_tx` drops here: once every connection thread is done,
+            // the workers see the channel disconnect after draining what
+            // remains.
+            drop(job_tx);
+            accepted
+        })
     };
 
-    Ok(ServerHandle { addr, shared, shutdown, acceptor, workers })
+    Ok(ServerHandle { addr, shared, acceptor, workers })
 }
 
 impl ServerHandle {
     /// The flag that triggers a graceful drain — hand it to
     /// `signal_hook::flag::register` so SIGTERM/SIGINT stop the daemon.
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+        Arc::clone(&self.shared.shutdown)
     }
 
     /// Current metrics, rendered as the `/metrics` endpoint would.
@@ -343,7 +300,6 @@ impl ServerHandle {
     /// its in-flight request), the workers drain the remaining queue,
     /// then everything exits.
     pub fn shutdown(self) -> SvcSummary {
-        self.shutdown.store(true, Ordering::SeqCst);
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let connections = self.acceptor.join().expect("acceptor panicked");
         for w in self.workers {
@@ -371,53 +327,9 @@ impl ServerHandle {
     }
 }
 
-/// Accepts connections until shutdown; returns the count accepted.
-fn acceptor_loop(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    shutdown: &AtomicBool,
-    job_tx: Sender<Job>,
-) -> u64 {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    let mut accepted = 0u64;
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                accepted += 1;
-                SvcMetrics::inc(&shared.metrics.connections);
-                let shared = Arc::clone(shared);
-                let tx = job_tx.clone();
-                conns.push(std::thread::spawn(move || connection_loop(stream, &shared, tx)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-        // Reap finished connection threads so the vector stays small.
-        if conns.len() > 32 {
-            let (done, live): (Vec<_>, Vec<_>) = conns.into_iter().partition(|h| h.is_finished());
-            for h in done {
-                let _ = h.join();
-            }
-            conns = live;
-        }
-    }
-    // The shared flag is what connection threads poll; make sure it is
-    // set even if only the handle's flag flipped (signal path).
-    shared.shutdown.store(true, Ordering::SeqCst);
-    for h in conns {
-        let _ = h.join();
-    }
-    // `job_tx` drops here: once every connection thread is done, the
-    // workers see the channel disconnect after draining what remains.
-    accepted
-}
-
 /// Serves one connection: keep-alive request loop until the peer closes,
 /// an error, or shutdown.
-fn connection_loop(stream: TcpStream, shared: &Shared, job_tx: Sender<Job>) {
+fn connection_loop(stream: TcpStream, shared: &Shared, job_tx: &Sender<Job>) {
     let Ok(mut conn) = HttpConn::new(stream, POLL) else { return };
     conn.set_max_body(shared.cfg.max_body);
     shared.metrics.open_connections.fetch_add(1, Ordering::Relaxed);
@@ -454,7 +366,7 @@ fn connection_loop(stream: TcpStream, shared: &Shared, job_tx: Sender<Job>) {
             }
             ReadOutcome::Request(req) => {
                 let close = req.wants_close() || shared.shutdown.load(Ordering::Relaxed);
-                let resp = route(&req, shared, &job_tx);
+                let resp = route(&req, shared, job_tx);
                 if resp.write_to(conn.stream(), close).is_err() || close {
                     return;
                 }
@@ -476,16 +388,12 @@ impl Drop for OpenConnGuard<'_> {
 /// Dispatches one parsed request.
 fn route(req: &Request, shared: &Shared, job_tx: &Sender<Job>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/elect") => handle_elect(req, shared, job_tx),
-        ("POST", "/elect/batch") => handle_elect_batch(req, shared),
-        _ => route_aux(req, shared),
-    }
-}
-
-/// The non-election endpoints, shared verbatim by both serving cores
-/// (neither wraps these in the request-span envelope).
-pub(crate) fn route_aux(req: &Request, shared: &Shared) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
+        ("POST", "/elect") => with_request_span(req, shared, |trace_id, root, admitted| {
+            elect_response(&req.body, shared, job_tx, trace_id, root, admitted)
+        }),
+        ("POST", "/elect/batch") => with_request_span(req, shared, |trace_id, root, admitted| {
+            batch_response(&req.body, shared, trace_id, root, admitted)
+        }),
         ("GET", "/healthz") => {
             SvcMetrics::inc(&shared.metrics.health_checks);
             Response::text(200, "ok\n")
@@ -541,85 +449,47 @@ pub fn handle_trace(tail: &str, recorder: &FlightRecorder) -> Response {
     Response::json(200, tracewire::trace_doc(trace_id, &spans))
 }
 
-/// The open half of the request envelope: adopted (or minted) trace,
-/// pre-allocated root span id, and the admission stamp. The epoll core
-/// holds one of these across a deferred worker reply; the threaded core
-/// opens and closes it around a synchronous handler.
-pub(crate) struct RequestSpan {
-    pub(crate) trace: TraceId,
-    pub(crate) root: SpanId,
-    remote_parent: SpanId,
-    pub(crate) admitted: Instant,
-}
-
-/// Opens the shared `/elect`-family request envelope: adopt the
-/// propagated trace (or mint one) and reserve the root span id.
-pub(crate) fn open_request_span(req: &Request, shared: &Shared) -> RequestSpan {
+/// Wraps an `/elect`-family handler in the request envelope: adopt
+/// the propagated trace (or mint one), record the root `request` span,
+/// log slow requests, and stamp `x-trace-id` on the response.
+fn with_request_span(
+    req: &Request,
+    shared: &Shared,
+    interior: impl FnOnce(TraceId, SpanId, Instant) -> Response,
+) -> Response {
     let admitted = shared.cfg.clock.now();
     let rec = &shared.recorder;
     let trace =
         req.header("x-trace-id").and_then(TraceId::from_hex).unwrap_or_else(|| rec.mint_trace());
     let remote_parent =
         req.header("x-parent-span").and_then(SpanId::from_hex).unwrap_or(SpanId::NONE);
-    RequestSpan { trace, root: rec.next_span_id(), remote_parent, admitted }
-}
-
-/// Closes the envelope around a finished response: record the root
-/// `request` span, log slow requests, and stamp `x-trace-id`.
-pub(crate) fn close_request_span(span: RequestSpan, shared: &Shared, resp: Response) -> Response {
-    let rec = &shared.recorder;
+    let root = rec.next_span_id();
+    let resp = interior(trace, root, admitted);
     let end = shared.cfg.clock.now();
     rec.record_span_with_id(
-        span.root,
-        span.trace,
-        span.remote_parent,
+        root,
+        trace,
+        remote_parent,
         Stage::Request,
-        span.admitted,
+        admitted,
         end,
         SpanAttrs { err: resp.status >= 400, root: true, ..Default::default() },
     );
     if let Some(threshold) = shared.cfg.slow_threshold {
-        if end.duration_since(span.admitted) >= threshold {
+        if end.duration_since(admitted) >= threshold {
             eprintln!(
                 "slow request trace={} {} over {threshold:?}:\n{}",
-                span.trace.to_hex(),
-                trace::fmt_dur_us(end.duration_since(span.admitted).as_micros() as u64),
-                trace::render_tree(&rec.trace_spans(span.trace)),
+                trace.to_hex(),
+                trace::fmt_dur_us(end.duration_since(admitted).as_micros() as u64),
+                trace::render_tree(&rec.trace_spans(trace)),
             );
         }
     }
-    resp.with_header("x-trace-id", span.trace.to_hex())
+    resp.with_header("x-trace-id", trace.to_hex())
 }
 
-/// Wraps an `/elect`-family handler in the shared request envelope:
-/// adopt the propagated trace (or mint one), record the root `request`
-/// span, log slow requests, and stamp `x-trace-id` on the response.
-fn with_request_span(
-    req: &Request,
-    shared: &Shared,
-    interior: impl FnOnce(TraceId, SpanId, Instant) -> Response,
-) -> Response {
-    let span = open_request_span(req, shared);
-    let resp = interior(span.trace, span.root, span.admitted);
-    close_request_span(span, shared, resp)
-}
-
-/// The `/elect` path: parse, consult the cache, or queue for a worker,
-/// inside the shared trace envelope.
-fn handle_elect(req: &Request, shared: &Shared, job_tx: &Sender<Job>) -> Response {
-    with_request_span(req, shared, |trace_id, root, admitted| {
-        elect_response(&req.body, shared, job_tx, trace_id, root, admitted)
-    })
-}
-
-/// The `/elect/batch` path: the whole batch shares one trace envelope.
-pub(crate) fn handle_elect_batch(req: &Request, shared: &Shared) -> Response {
-    with_request_span(req, shared, |trace_id, root, admitted| {
-        batch_response(&req.body, shared, trace_id, root, admitted)
-    })
-}
-
-/// The traced interior of [`handle_elect`].
+/// The traced interior of `POST /elect`: parse, consult the cache, or
+/// queue for a worker.
 fn elect_response(
     body: &[u8],
     shared: &Shared,
@@ -665,7 +535,6 @@ fn elect_response(
         trace: trace_id,
         parent: root,
         enqueued: shared.cfg.clock.now(),
-        notify: None,
     };
     match job_tx.send_timeout(job, Duration::ZERO) {
         Ok(()) => shared.metrics.queue_depth.fetch_add(1, Ordering::Relaxed),
@@ -693,7 +562,7 @@ fn elect_response(
     }
 }
 
-/// The traced interior of [`handle_elect_batch`]: parse the whole body,
+/// The traced interior of `POST /elect/batch`: parse the whole body,
 /// canonicalize every entry through one [`hre_words::RotationScratch`],
 /// answer cache hits in place, dedupe the misses by cache key, run the
 /// distinct misses through [`hre_sim::sweep_map`] in one pass, and
@@ -848,7 +717,7 @@ fn batch_response(
 
 /// Turns a (canonical-coordinates) result into the HTTP response in the
 /// request's own coordinates, recording latency and outcome counters.
-pub(crate) fn respond(
+fn respond(
     request: &ElectRequest,
     rot: usize,
     result: CachedResult,
@@ -936,12 +805,6 @@ fn worker_loop(shared: &Shared, rx: &Receiver<Job>) {
             .fetch_add(busy.as_micros().min(u64::MAX as u128) as u64, Ordering::Relaxed);
         shared.metrics.workers_busy.fetch_sub(1, Ordering::Relaxed);
         let _ = job.reply.send(result); // peer may have timed out; fine
-        if let Some((done, token, waker)) = job.notify {
-            // Result first, then the doorbell: the reactor's try_recv on
-            // the reply channel must succeed when the token arrives.
-            let _ = done.send(token);
-            waker.wake();
-        }
     }
 }
 

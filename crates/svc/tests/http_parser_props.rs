@@ -1,10 +1,9 @@
 //! Property tests for the resumable HTTP parsers: however the byte
 //! stream is sliced — at every single boundary, in pathological 1-byte
 //! reads, or in arbitrary random chunks — the parse outcome must be
-//! byte-identical to parsing the whole stream at once. This is the
-//! invariant the `--io epoll` mode rides on: edge-triggered reads hand
-//! the parser whatever fragments the kernel has, and the responses must
-//! not depend on that segmentation.
+//! byte-identical to parsing the whole stream at once: socket reads
+//! hand the parser whatever fragments the kernel has, and the responses
+//! must not depend on that segmentation.
 
 use hre_svc::{ParseStep, Request, RequestParser, RespStep, ResponseParser};
 use proptest::prelude::*;

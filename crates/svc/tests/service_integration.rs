@@ -8,7 +8,10 @@
 use hre_core::{Ak, Bk};
 use hre_ring::RingLabeling;
 use hre_sim::{run, RoundRobinSched, RunOptions};
-use hre_svc::{start, AlgoId, Client, ElectRequest, IoMode, Json, SvcConfig};
+use hre_svc::{
+    batch_from_json, batch_response_body, error_json, response_json, run_election, start, AlgoId,
+    Client, ElectRequest, Json, SvcConfig,
+};
 use std::time::Duration;
 
 /// One client's tally of what it saw.
@@ -65,21 +68,10 @@ fn metric(text: &str, name: &str) -> u64 {
 
 #[test]
 fn concurrent_mixed_workload_agrees_with_sim_and_metrics_reconcile() {
-    concurrent_mixed_workload(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn concurrent_mixed_workload_epoll_agrees_with_sim_and_metrics_reconcile() {
-    concurrent_mixed_workload(IoMode::Epoll);
-}
-
-fn concurrent_mixed_workload(io: IoMode) {
     let handle = start(SvcConfig {
         workers: 3,
         cache_cap: 64,
         deadline: Duration::from_secs(30),
-        io,
         ..SvcConfig::default()
     })
     .expect("start daemon");
@@ -164,16 +156,6 @@ fn concurrent_mixed_workload(io: IoMode) {
 /// clients observed.
 #[test]
 fn drain_under_load_completes_or_cleanly_rejects_every_job() {
-    drain_under_load(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn drain_under_load_epoll_completes_or_cleanly_rejects_every_job() {
-    drain_under_load(IoMode::Epoll);
-}
-
-fn drain_under_load(io: IoMode) {
     use std::sync::atomic::Ordering;
 
     // Tiny pool + queue and no cache: real elections pile up, so at the
@@ -183,7 +165,6 @@ fn drain_under_load(io: IoMode) {
         queue_cap: 4,
         cache_cap: 0,
         deadline: Duration::from_secs(10),
-        io,
         ..SvcConfig::default()
     })
     .expect("start daemon");
@@ -280,56 +261,80 @@ fn drain_under_load(io: IoMode) {
     assert_eq!(summary.elect_failed, 0, "{summary}");
 }
 
-/// The io-mode equivalence pin: the same request sequence — valid
-/// elections, a malformed body, an over-cap 413 that must keep the
-/// connection alive, and a batch — served over one keep-alive
-/// connection to a `--io threads` daemon and to a `--io epoll` daemon
-/// must produce byte-identical bodies, identical statuses, and
-/// identical headers modulo the (random) `x-trace-id`.
-#[test]
-#[cfg(unix)]
-fn io_modes_serve_identical_bytes_on_one_keepalive_connection() {
-    type Exchange = (u16, Vec<(String, String)>, Vec<u8>);
-    let serve = |io: IoMode| -> Vec<Exchange> {
-        let handle = start(SvcConfig {
-            workers: 2,
-            cache_cap: 64,
-            max_body: 4096,
-            io,
-            ..SvcConfig::default()
-        })
-        .expect("start daemon");
-        let mut client =
-            Client::connect(&handle.addr.to_string(), Duration::from_secs(30)).expect("connect");
-        let big = format!(r#"{{"ring":[{}],"algo":"ak"}}"#, vec!["1"; 4096].join(","));
-        let reqs: Vec<(&str, String)> = vec![
-            ("/elect", r#"{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"}"#.into()),
-            ("/elect", r#"{"ring":[2,1,3,1,3,2,2,1],"algo":"ak"}"#.into()), // rotation hit
-            ("/elect", r#"{"ring":[1,2,2],"algo":"bk","k":2}"#.into()),
-            ("/elect", r#"{"ring":[1]}"#.into()), // 400, keep-alive
-            ("/elect", "not json at all".into()), // 400, keep-alive
-            ("/elect", big),                      // 413, keep-alive
-            ("/elect/batch", r#"[{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"},{"ring":[1]}]"#.into()),
-            ("/elect", r#"{"ring":[4,1,3,2,7,5],"algo":"peterson"}"#.into()),
-        ];
-        let mut got = Vec::new();
-        for (path, body) in &reqs {
-            let resp = client.post_json(path, body).expect("served on the same connection");
-            let mut headers = resp.headers.clone();
-            headers.retain(|(k, _)| k != "x-trace-id");
-            got.push((resp.status, headers, resp.body.clone()));
+/// What the daemon must answer to one `/elect` body, computed in
+/// process the way the daemon computes it: parse, elect in canonical
+/// coordinates, map the leader back, render.
+fn expected_elect(body: &str) -> (u16, String) {
+    match ElectRequest::from_json(body.as_bytes()) {
+        Err(why) => (400, error_json(&why)),
+        Ok(req) => {
+            let (canon, d) = req.canonicalized();
+            match run_election(&canon) {
+                Ok(out) => (200, response_json(&req, &out.into_coords(d, req.labels.len()))),
+                Err(why) => (422, error_json(&why)),
+            }
         }
-        let healthz = client.get("/healthz").expect("healthz");
-        got.push((healthz.status, Vec::new(), healthz.body.clone()));
-        handle.shutdown();
-        got
-    };
-    let threads = serve(IoMode::Threads);
-    let epoll = serve(IoMode::Epoll);
-    assert_eq!(threads.len(), epoll.len());
-    for (i, (t, e)) in threads.iter().zip(&epoll).enumerate() {
-        assert_eq!(t, e, "request {i} diverged between io modes");
     }
+}
+
+/// The in-process `/elect/batch` answer: each entry as a single request
+/// would be answered, invalid entries as their error documents.
+fn expected_batch(body: &str) -> String {
+    let parts: Vec<String> = batch_from_json(body.as_bytes())
+        .expect("a valid batch")
+        .into_iter()
+        .map(|entry| match entry {
+            Ok(req) => expected_elect(&req.to_json().to_string()).1,
+            Err(why) => error_json(&why),
+        })
+        .collect();
+    batch_response_body(&parts)
+}
+
+/// One keep-alive connection carries valid elections, a rotation that
+/// hits the cache, 400s, an over-cap 413 that keeps the connection
+/// alive, a batch and `/healthz`. Every answer must be byte-identical to
+/// the in-process election rendered by the same functions, and no
+/// answer may close the connection.
+#[test]
+fn one_keepalive_connection_serves_the_in_process_bytes() {
+    let handle =
+        start(SvcConfig { workers: 2, cache_cap: 64, max_body: 4096, ..SvcConfig::default() })
+            .expect("start daemon");
+    let mut client =
+        Client::connect(&handle.addr.to_string(), Duration::from_secs(30)).expect("connect");
+    let big = format!(r#"{{"ring":[{}],"algo":"ak"}}"#, vec!["1"; 4096].join(","));
+    let too_large =
+        error_json(&format!("request body of {} bytes exceeds the 4096 byte limit", big.len()));
+    let batch = r#"[{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"},{"ring":[1]}]"#;
+    // (path, body, status, response body, x-cache)
+    let mut exchanges: Vec<(&str, String, u16, String, Option<&str>)> = Vec::new();
+    for (body, cache) in [
+        (r#"{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"}"#, Some("MISS")),
+        (r#"{"ring":[2,1,3,1,3,2,2,1],"algo":"ak"}"#, Some("HIT")), // rotation
+        (r#"{"ring":[1,2,2],"algo":"bk","k":2}"#, Some("MISS")),
+        (r#"{"ring":[1]}"#, None),
+        ("not json at all", None),
+    ] {
+        let (status, want) = expected_elect(body);
+        exchanges.push(("/elect", body.into(), status, want, cache));
+    }
+    exchanges.push(("/elect", big, 413, too_large, None));
+    exchanges.push(("/elect/batch", batch.into(), 200, expected_batch(batch), None));
+    let peterson = r#"{"ring":[4,1,3,2,7,5],"algo":"peterson"}"#;
+    let (status, want) = expected_elect(peterson);
+    exchanges.push(("/elect", peterson.into(), status, want, Some("MISS")));
+
+    for (i, (path, body, status, want, cache)) in exchanges.iter().enumerate() {
+        let resp = client.post_json(path, body).expect("served on the same connection");
+        assert_eq!(resp.status, *status, "request {i}: {}", resp.body_text());
+        assert_eq!(resp.body_text(), *want, "request {i}");
+        assert_eq!(resp.header("x-cache"), *cache, "request {i}");
+        assert_eq!(resp.header("connection"), Some("keep-alive"), "request {i}");
+    }
+    let healthz = client.get("/healthz").expect("healthz on the same connection");
+    assert_eq!((healthz.status, healthz.body_text().as_str()), (200, "ok\n"));
+    handle.shutdown();
 }
 
 #[test]
@@ -358,16 +363,6 @@ fn responses_are_bytewise_stable_across_cache_hit_and_miss() {
 /// (N single requests vs 1 batch request carrying N entries).
 #[test]
 fn batch_equals_singles_bytewise_and_in_the_metrics() {
-    batch_equals_singles(IoMode::Threads);
-}
-
-#[test]
-#[cfg(unix)]
-fn batch_equals_singles_epoll_bytewise_and_in_the_metrics() {
-    batch_equals_singles(IoMode::Epoll);
-}
-
-fn batch_equals_singles(io: IoMode) {
     let entries: Vec<String> = vec![
         r#"{"ring":[1,3,1,3,2,2,1,2],"algo":"ak"}"#.into(),
         r#"{"ring":[2,1,3,1,3,2,2,1],"algo":"ak"}"#.into(), // rotation alias of the above
@@ -378,7 +373,7 @@ fn batch_equals_singles(io: IoMode) {
         r#"{"ring":[1,2,2],"algo":"ak","k":2}"#.into(),
     ];
     let n = entries.len() as u64;
-    let cfg = SvcConfig { workers: 2, cache_cap: 64, io, ..SvcConfig::default() };
+    let cfg = SvcConfig { workers: 2, cache_cap: 64, ..SvcConfig::default() };
 
     // Daemon A: the workload as N single requests.
     let a = start(cfg.clone()).expect("start daemon A");

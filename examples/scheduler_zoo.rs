@@ -28,7 +28,7 @@ fn schedulers(victim: usize) -> Vec<Box<dyn Scheduler>> {
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(99);
-    let ring = random_a_inter_kk(10, 3, 4, &mut rng);
+    let ring = random_a_inter_kk(10, 3, 4, &mut rng).expect("a nonempty ring class");
     let k = ring.max_multiplicity().max(2);
     let victim = ring.true_leader().unwrap();
     println!("ring: {ring}   (k = {k}, true leader p{victim})");

@@ -81,7 +81,7 @@ fn slower_links_never_change_the_outcome_only_the_clock() {
     // Confluence again, now across *timing* variations: delays affect
     // virtual time but never the leader or the message count.
     let mut rng = StdRng::seed_from_u64(79);
-    let ring = generate::random_a_inter_kk(10, 3, 4, &mut rng);
+    let ring = generate::random_a_inter_kk(10, 3, 4, &mut rng).unwrap();
     let baseline = run(&Ak::new(3), &ring, &mut RoundRobinSched::default(), RunOptions::default());
     for trial in 0..10 {
         let delays: Vec<u64> = (0..10).map(|_| rng.gen_range(1..=9)).collect();

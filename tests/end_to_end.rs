@@ -25,7 +25,7 @@ fn all_schedulers(n: usize) -> Vec<Box<dyn Scheduler>> {
 fn ak_and_bk_agree_across_schedulers_and_runtimes() {
     let mut rng = StdRng::seed_from_u64(2024);
     for &(n, k, a) in &[(6usize, 2usize, 4u64), (9, 3, 4), (12, 3, 5), (15, 4, 4)] {
-        let ring = generate::random_a_inter_kk(n, k, a, &mut rng);
+        let ring = generate::random_a_inter_kk(n, k, a, &mut rng).unwrap();
         let expected = ring.true_leader().unwrap();
 
         for mut sched in all_schedulers(n) {
@@ -49,7 +49,7 @@ fn ak_and_bk_agree_across_schedulers_and_runtimes() {
 fn oracle_and_core_algorithms_elect_the_same_process() {
     let mut rng = StdRng::seed_from_u64(5);
     for _ in 0..8 {
-        let ring = generate::random_a_inter_kk(10, 3, 4, &mut rng);
+        let ring = generate::random_a_inter_kk(10, 3, 4, &mut rng).unwrap();
         let ak = run(&Ak::new(3), &ring, &mut RoundRobinSched::default(), RunOptions::default());
         let oracle =
             run(&OracleN::new(10), &ring, &mut RoundRobinSched::default(), RunOptions::default());

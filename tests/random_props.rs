@@ -13,7 +13,7 @@ fn arb_ring_and_k() -> impl Strategy<Value = (RingLabeling, usize)> {
     (3usize..14, 2usize..5, any::<u64>()).prop_map(|(n, k, seed)| {
         let mut rng = StdRng::seed_from_u64(seed);
         let alphabet = (n.div_ceil(k) as u64 + 2).max(3);
-        (generate::random_a_inter_kk(n, k, alphabet, &mut rng), k)
+        (generate::random_a_inter_kk(n, k, alphabet, &mut rng).unwrap(), k)
     })
 }
 
@@ -91,7 +91,7 @@ proptest! {
     #[test]
     fn explorer_and_run_agree(n in 3usize..5, seed in any::<u64>(), sched_seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let ring = generate::random_a_inter_kk(n, n, 3, &mut rng);
+        let ring = generate::random_a_inter_kk(n, n, 3, &mut rng).unwrap();
         let k = ring.max_multiplicity();
         let rep = run(&Ak::new(k), &ring, &mut RandomSched::new(sched_seed), RunOptions::default());
         prop_assert!(rep.clean());

@@ -35,7 +35,7 @@ fn ak_is_within_constant_factor_of_the_lower_bound() {
 fn bk_phase_count_matches_x_formula() {
     let mut rng = StdRng::seed_from_u64(103);
     for _ in 0..10 {
-        let ring = generate::random_a_inter_kk(9, 3, 4, &mut rng);
+        let ring = generate::random_a_inter_kk(9, 3, 4, &mut rng).unwrap();
         let k = ring.max_multiplicity().max(2);
         let table = reconstruct_phases(&ring, k);
         let leader = table.leader;
@@ -65,7 +65,7 @@ fn bk_phase_count_matches_x_formula() {
 fn a4_leader_expression_is_globally_consistent() {
     let mut rng = StdRng::seed_from_u64(107);
     for _ in 0..6 {
-        let ring = generate::random_a_inter_kk(8, 2, 5, &mut rng);
+        let ring = generate::random_a_inter_kk(8, 2, 5, &mut rng).unwrap();
         let rep = run(&Ak::new(2), &ring, &mut RandomSched::new(1), RunOptions::default());
         assert!(rep.clean());
         let leader_label = ring.label(rep.leader.unwrap());
@@ -102,7 +102,7 @@ fn ak_time_on_k1_is_pinned_to_the_formula() {
 #[test]
 fn ak_wire_bits_closed_form() {
     let mut rng = StdRng::seed_from_u64(113);
-    let ring = generate::random_a_inter_kk(10, 3, 4, &mut rng);
+    let ring = generate::random_a_inter_kk(10, 3, 4, &mut rng).unwrap();
     let rep = run(&Ak::new(3), &ring, &mut RoundRobinSched::default(), RunOptions::default());
     assert!(rep.clean());
     let b = ring.label_bits() as u64;
