@@ -1,7 +1,7 @@
 //! E24 — whole-stack deterministic simulation: the entire serving path
-//! (worker pools, queue deadlines, breakers, hedging, failover,
-//! retransmit/reassembly, heartbeats, `Ak` coordinator elections) runs
-//! inside virtual time against seeded fault plans.
+//! (worker pools, queue deadlines, the router's own breaker, hedging and
+//! failover machine, retransmit/reassembly, heartbeats, `Ak` coordinator
+//! elections) runs inside virtual time against seeded fault plans.
 //!
 //! Three claims, three gates:
 //!
@@ -21,8 +21,9 @@
 //!    election oracle's answer (I3). Full mode runs ≥ 100 000
 //!    instances; `--quick` runs 2 000.
 //! 3. **Regressions are caught and minimized.** With a deliberately
-//!    planted bug armed (failover/hedge timeouts skip the breaker's
-//!    `record_failure`, silently under-counting ill health), the sweep
+//!    planted bug armed (the simulator reports failover/hedge
+//!    timeouts to the router machine as `503`s, so they never reach the
+//!    breaker, silently under-counting ill health), the sweep
 //!    must fail, the failing plan must shrink to a smaller reproducer,
 //!    and that reproducer must replay with an identical transcript hash
 //!    twice in a row — the debugging loop the harness exists for.
@@ -89,7 +90,7 @@ pub fn run_e24(quick: bool) -> E24Outcome {
          I2 failure attribution, I3 oracle byte-equality)\n\n\
          {} seeded instances across {} scenario kinds in {wall_s:.1} s on {threads} thread(s):\n\
          {} requests ({} ok, {} invalid, {} busy, {} failed), {} hedges, {} failovers, \
-         {} timeouts,\n{} elections, {} config accepts ({} stale rejects), {} suspects, \
+         {} errors ({} timeouts),\n{} elections, {} config accepts ({} stale rejects), {} suspects, \
          {} breaker opens,\n{} gossip retransmits, fabric {}/{} delivered/dropped.\n\
          invariant violations: {} — {}\n\n",
         summary.instances,
@@ -101,6 +102,7 @@ pub fn run_e24(quick: bool) -> E24Outcome {
         t.failed,
         t.hedges,
         t.failovers,
+        t.errors,
         t.timeouts,
         t.elections,
         t.config_accepts,

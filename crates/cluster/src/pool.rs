@@ -75,32 +75,25 @@ impl BackendPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hre_svc::http::{HttpConn, ReadOutcome, Response};
+    use hre_svc::http::{serve_keep_alive, Response, DEFAULT_MAX_BODY};
     use std::net::TcpListener;
-    use std::time::Instant;
+    use std::sync::atomic::AtomicBool;
 
     /// A tiny server that answers every request with its path, forever.
     fn echo_server(listener: TcpListener) {
+        listener.set_nonblocking(true).expect("nonblocking");
         std::thread::spawn(move || {
-            while let Ok((stream, _)) = listener.accept() {
-                std::thread::spawn(move || {
-                    let mut conn = HttpConn::new(stream, Duration::from_millis(10)).expect("conn");
-                    loop {
-                        match conn.read_request(Instant::now() + Duration::from_secs(5)) {
-                            ReadOutcome::Request(req) => {
-                                if Response::text(200, req.path.clone().into_bytes())
-                                    .write_to(conn.stream(), false)
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                            }
-                            ReadOutcome::IdlePoll => continue,
-                            _ => return,
-                        }
-                    }
-                });
-            }
+            let shutdown = AtomicBool::new(false);
+            hre_runtime::serve_connections(&listener, &shutdown, |stream| {
+                serve_keep_alive(
+                    stream,
+                    DEFAULT_MAX_BODY,
+                    &shutdown,
+                    None,
+                    || {},
+                    |req| Response::text(200, req.path.clone().into_bytes()),
+                )
+            })
         });
     }
 

@@ -1,34 +1,16 @@
 //! The front-door router: one listener, N backends, rotation-affinity
 //! routing, breaker-gated failover, and hedged retries.
 //!
-//! Request path for `POST /elect`:
+//! `POST /elect` is validated locally (garbage gets `400` and is never
+//! forwarded), keyed by the canonical rotation of its labels, and handed
+//! to a [`Forward`] machine over one topology snapshot, which decides
+//! every launch, hedge, failover and the final answer; this module only
+//! sends its attempts (one thread each, pooled keep-alive connections)
+//! and relays the chosen response with an `x-backend` header. Hedging
+//! is safe here in a way it is not for general RPC: elections are
+//! deterministic and idempotent, so raced responses are byte-identical.
 //!
-//! ```text
-//!   client ──▶ router: parse & validate (400 on garbage, never forwarded)
-//!                │ topology = one Arc snapshot for the whole request
-//!                │ shard key = hash(canonical rotation of the labels)
-//!                │ candidates = ring walk from the key, open breakers
-//!                │              skipped (fail-open if all are open)
-//!                ▼
-//!          attempt thread ──POST /elect──▶ backend (pooled keep-alive)
-//!                │
-//!                ├─ response 200/422 ─▶ pass through (+ x-backend header)
-//!                ├─ response 503 ─▶ failover to next candidate; the 503
-//!                │                  (with its Retry-After) is returned
-//!                │                  only if every candidate is busy
-//!                ├─ transport error ─▶ breaker ticks, failover
-//!                └─ silence past the hedge threshold ─▶ fire a duplicate
-//!                   at the next candidate, first answer wins
-//! ```
-//!
-//! Hedging is safe here in a way it is not for general RPC: elections
-//! are deterministic (round-robin scheduler, canonical-rotation cache)
-//! and idempotent, so the two raced responses are byte-identical — the
-//! client cannot observe which one won. The hedge threshold adapts per
-//! backend: `max(hedge_min, 2 × observed p95)` via
-//! [`BackendSlot::hedge_threshold`].
-//!
-//! Since PR 6 the backend set is **dynamic**: everything per-backend
+//! The backend set is **dynamic**: everything per-backend
 //! lives in an immutable [`Topology`] snapshot behind an
 //! `RwLock<Arc<..>>`, and the control plane's elected coordinator swaps
 //! it via [`RouterHandle::update_backends`]. Pushes are fenced by epoch
@@ -43,17 +25,18 @@
 //! traffic, and open breakers pace their probes on the shared
 //! capped-backoff schedule ([`hre_runtime::Backoff`]).
 
+use crate::forward::{AttemptKind, Forward, Step, Verdict};
 use crate::hash::shard_key;
 use crate::metrics::ClusterMetrics;
 use crate::topology::{BackendSlot, Topology};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use hre_runtime::trace::{self, FlightRecorder, SpanAttrs, SpanId, Stage, TraceId};
+use hre_runtime::trace::{FlightRecorder, SpanAttrs, SpanId, Stage, TraceId};
 use hre_runtime::{ClockHandle, DEFAULT_TRACE_CAP};
-use hre_svc::http::{HttpConn, ReadOutcome, Request, Response, DEFAULT_MAX_BODY};
+use hre_svc::http::{Request, Response, DEFAULT_MAX_BODY};
 use hre_svc::json::{self, Json};
 use hre_svc::{error_json, tracewire, Client, ClientResponse, ElectRequest};
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
@@ -135,7 +118,7 @@ struct Shared {
     /// The live topology generation. Swapped whole by config pushes;
     /// readers clone the `Arc` once and never see a mixed generation.
     topology: RwLock<Arc<Topology>>,
-    metrics: ClusterMetrics,
+    metrics: Arc<ClusterMetrics>,
     recorder: Arc<FlightRecorder>,
     /// The drain flag: the acceptor, the connection threads and the
     /// prober poll it, and [`RouterHandle::shutdown_flag`] hands it to
@@ -180,6 +163,24 @@ pub struct BackendSummary {
     pub breaker_half_opens: u64,
     /// Recoveries to closed.
     pub breaker_closes: u64,
+}
+
+impl BackendSummary {
+    /// The counters of one backend slot, as they stand.
+    pub fn of(slot: &BackendSlot) -> BackendSummary {
+        let m = &slot.metrics;
+        BackendSummary {
+            addr: slot.addr().to_string(),
+            requests: m.requests.load(Ordering::Relaxed),
+            errors: m.errors.load(Ordering::Relaxed),
+            busy: m.busy.load(Ordering::Relaxed),
+            hedges: m.hedges.load(Ordering::Relaxed),
+            failovers: m.failovers.load(Ordering::Relaxed),
+            breaker_opens: slot.breaker.opened_total(),
+            breaker_half_opens: slot.breaker.half_opened_total(),
+            breaker_closes: slot.breaker.closed_total(),
+        }
+    }
 }
 
 /// Final counters reported when the router drains.
@@ -266,7 +267,7 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<RouterHandle> {
 
     let shared = Arc::new(Shared {
         topology: RwLock::new(Arc::new(Topology::initial(&cfg))),
-        metrics: ClusterMetrics::new(),
+        metrics: Arc::new(ClusterMetrics::new()),
         recorder: FlightRecorder::new(cfg.trace_cap),
         cfg,
         shutdown: Arc::new(AtomicBool::new(false)),
@@ -276,7 +277,14 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<RouterHandle> {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || {
             hre_runtime::serve_connections(&listener, &shared.shutdown, |stream| {
-                connection_loop(stream, &shared)
+                hre_svc::http::serve_keep_alive(
+                    stream,
+                    shared.cfg.max_body,
+                    &shared.shutdown,
+                    Some(&shared.metrics.open_connections),
+                    || {},
+                    |req| route(req, &shared),
+                )
             })
         })
     };
@@ -360,21 +368,7 @@ impl RouterHandle {
         self.prober.join().expect("prober panicked");
         let m = &self.shared.metrics;
         let topo = self.shared.topology();
-        let backends = topo
-            .slots
-            .iter()
-            .map(|slot| BackendSummary {
-                addr: slot.addr().to_string(),
-                requests: slot.metrics.requests.load(Ordering::Relaxed),
-                errors: slot.metrics.errors.load(Ordering::Relaxed),
-                busy: slot.metrics.busy.load(Ordering::Relaxed),
-                hedges: slot.metrics.hedges.load(Ordering::Relaxed),
-                failovers: slot.metrics.failovers.load(Ordering::Relaxed),
-                breaker_opens: slot.breaker.opened_total(),
-                breaker_half_opens: slot.breaker.half_opened_total(),
-                breaker_closes: slot.breaker.closed_total(),
-            })
-            .collect();
+        let backends = topo.slots.iter().map(|slot| BackendSummary::of(slot)).collect();
         RouterSummary {
             requests: m.requests.load(Ordering::Relaxed),
             request_errors: m.request_errors.load(Ordering::Relaxed),
@@ -473,58 +467,6 @@ impl RouterController {
     }
 }
 
-/// Serves one client connection: keep-alive request loop until the peer
-/// closes, an error, or shutdown.
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(mut conn) = HttpConn::new(stream, POLL) else { return };
-    conn.set_max_body(shared.cfg.max_body);
-    shared.metrics.open_connections.fetch_add(1, Ordering::Relaxed);
-    // Decrement on every exit path (the loop below only returns).
-    let _open = OpenConnGuard(&shared.metrics);
-    loop {
-        match conn.read_request(Instant::now() + Duration::from_secs(5)) {
-            ReadOutcome::IdlePoll => {
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            ReadOutcome::Closed => return,
-            ReadOutcome::Malformed(why) => {
-                let _ = Response::json(400, error_json(&why)).write_to(conn.stream(), true);
-                return;
-            }
-            ReadOutcome::TooLarge { declared, drained } => {
-                let why = format!(
-                    "request body of {declared} bytes exceeds the {} byte limit",
-                    shared.cfg.max_body
-                );
-                let close = !drained || shared.shutdown.load(Ordering::Relaxed);
-                let resp = Response::json(413, error_json(&why));
-                if resp.write_to(conn.stream(), close).is_err() || close {
-                    return;
-                }
-            }
-            ReadOutcome::Request(req) => {
-                let close = req.wants_close() || shared.shutdown.load(Ordering::Relaxed);
-                let resp = route(&req, shared);
-                if resp.write_to(conn.stream(), close).is_err() || close {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Drops the `hre_open_connections` gauge when a connection thread
-/// exits, whatever the path out.
-struct OpenConnGuard<'a>(&'a ClusterMetrics);
-
-impl Drop for OpenConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.open_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 /// Dispatches one parsed request.
 fn route(req: &Request, shared: &Arc<Shared>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
@@ -618,9 +560,9 @@ fn cluster_doc(shared: &Shared) -> Json {
     ])
 }
 
-/// One proxied attempt's outcome: backend index (within the request's
-/// topology snapshot), transport result, and wall-clock latency.
-type Attempt = (usize, std::io::Result<ClientResponse>, Duration);
+/// One proxied attempt's outcome: its attempt number within the
+/// request and the transport result.
+type Attempt = (usize, std::io::Result<ClientResponse>);
 
 /// The trace a proxied request reports under: the (propagated or
 /// minted) trace id and the front-door root span its attempts hang off.
@@ -642,7 +584,7 @@ struct TraceCtx {
 fn spawn_attempt(
     shared: Arc<Shared>,
     slot: Arc<BackendSlot>,
-    idx: usize,
+    (attempt, idx): (usize, usize),
     path: &'static str,
     body: Arc<Vec<u8>>,
     tx: Sender<Attempt>,
@@ -650,7 +592,6 @@ fn spawn_attempt(
     hedge: bool,
 ) {
     let TraceCtx { trace_id, root } = ctx;
-    ClusterMetrics::inc(&slot.metrics.requests);
     if hedge {
         shared.metrics.hedges_inflight.fetch_add(1, Ordering::Relaxed);
     }
@@ -681,8 +622,7 @@ fn spawn_attempt(
             shared.cfg.clock.now(),
             SpanAttrs { a: idx as u64, err, ..Default::default() },
         );
-        let elapsed = shared.cfg.clock.now().saturating_duration_since(t0);
-        let _ = tx.send((idx, result, elapsed));
+        let _ = tx.send((attempt, result));
         if hedge {
             shared.metrics.hedges_inflight.fetch_sub(1, Ordering::Relaxed);
         }
@@ -690,44 +630,19 @@ fn spawn_attempt(
 }
 
 /// Wraps a front-door handler in the request envelope: count the
-/// request, adopt the propagated trace (or mint one), record the root
-/// `request` span, log slow requests, and stamp `x-trace-id` on the
-/// response.
+/// request, then [`hre_svc::server::with_request_span`] (adopt or mint
+/// the trace, record the root `request` span, log slow requests, stamp
+/// `x-trace-id`).
 fn with_request_span(
     req: &Request,
     shared: &Arc<Shared>,
     interior: impl FnOnce(TraceCtx, Instant) -> Response,
 ) -> Response {
-    let started = shared.cfg.clock.now();
     ClusterMetrics::inc(&shared.metrics.requests);
-    let rec = &shared.recorder;
-    let trace_id =
-        req.header("x-trace-id").and_then(TraceId::from_hex).unwrap_or_else(|| rec.mint_trace());
-    let remote_parent =
-        req.header("x-parent-span").and_then(SpanId::from_hex).unwrap_or(SpanId::NONE);
-    let root = rec.next_span_id();
-    let resp = interior(TraceCtx { trace_id, root }, started);
-    let end = shared.cfg.clock.now();
-    rec.record_span_with_id(
-        root,
-        trace_id,
-        remote_parent,
-        Stage::Request,
-        started,
-        end,
-        SpanAttrs { err: resp.status >= 400, root: true, ..Default::default() },
-    );
-    if let Some(threshold) = shared.cfg.slow_threshold {
-        if end.duration_since(started) >= threshold {
-            eprintln!(
-                "slow request trace={} {} over {threshold:?}:\n{}",
-                trace_id.to_hex(),
-                trace::fmt_dur_us(end.duration_since(started).as_micros() as u64),
-                trace::render_tree(&rec.trace_spans(trace_id)),
-            );
-        }
-    }
-    resp.with_header("x-trace-id", trace_id.to_hex())
+    let (rec, cfg) = (&shared.recorder, &shared.cfg);
+    hre_svc::server::with_request_span(req, rec, &cfg.clock, cfg.slow_threshold, |t, root, at| {
+        interior(TraceCtx { trace_id: t, root }, at)
+    })
 }
 
 /// The `POST /elect` front door: validate, pick candidates, forward
@@ -895,10 +810,12 @@ fn batch_response(body: &[u8], shared: &Arc<Shared>, started: Instant, ctx: Trac
         .with_header("x-batch-errors", failed_entries.to_string())
 }
 
-/// Candidate selection + the failover/hedge race, all against one
-/// topology snapshot. Candidates come from a ring walk from the shard
-/// key with open breakers skipped (fail-open to the full ring if that
-/// leaves nobody), recorded as the `hash` and `breaker_check` spans.
+/// Drives one [`Forward`] machine against one topology snapshot: every
+/// launch, hedge, failover and final-answer decision is the machine's;
+/// this function only sends attempts on threads, waits on their channel
+/// until the machine's next wake-up, and turns the verdict into a
+/// response. The shard hash and the candidate pick are recorded as the
+/// `hash` and `breaker_check` spans.
 fn forward(
     shared: &Arc<Shared>,
     topo: &Arc<Topology>,
@@ -910,166 +827,82 @@ fn forward(
 ) -> Response {
     let TraceCtx { trace_id, root } = ctx;
     let rec = &shared.recorder;
-    let hash_start = shared.cfg.clock.now();
-    let order = topo.ring.preference_order(shard_key(labels));
+    let clock = &shared.cfg.clock;
+    let hash_start = clock.now();
+    let key = shard_key(labels);
+    let breaker_start = clock.now();
+    let mut machine = Forward::new(
+        Arc::clone(topo),
+        Arc::clone(&shared.metrics),
+        key,
+        breaker_start,
+        started + shared.cfg.deadline,
+        shared.cfg.hedge_min,
+    );
+    let picked = clock.now();
+    let primary = topo.ring.primary(key).unwrap_or_default() as u64;
+    let (admitted, ring) = (machine.candidates().len() as u64, topo.len() as u64);
     rec.record_span(
         trace_id,
         root,
         Stage::Hash,
         hash_start,
-        shared.cfg.clock.now(),
-        SpanAttrs { a: order[0] as u64, b: order.len() as u64, ..Default::default() },
+        breaker_start,
+        SpanAttrs { a: primary, b: ring, ..Default::default() },
     );
-    // Skip open breakers; if that leaves nobody, fail open and try the
-    // full ring anyway (a probe may be overdue, and refusing outright
-    // guarantees failure while trying merely risks it).
-    let breaker_start = shared.cfg.clock.now();
-    let mut candidates: Vec<usize> = order
-        .iter()
-        .copied()
-        .filter(|&i| topo.slots[i].breaker.allows_request_at(breaker_start))
-        .collect();
-    if candidates.is_empty() {
-        candidates = order.clone();
-    }
     rec.record_span(
         trace_id,
         root,
         Stage::BreakerCheck,
         breaker_start,
-        shared.cfg.clock.now(),
-        SpanAttrs { a: candidates.len() as u64, b: order.len() as u64, ..Default::default() },
+        picked,
+        SpanAttrs { a: admitted, b: ring, ..Default::default() },
     );
-    for &skipped in order.iter().filter(|i| !candidates.contains(i)) {
-        ClusterMetrics::inc(&topo.slots[skipped].metrics.failovers);
-    }
 
-    let deadline = started + shared.cfg.deadline;
     let body = Arc::new(body.to_vec());
-    let (tx, rx): (Sender<Attempt>, Receiver<Attempt>) = bounded(candidates.len().max(1));
-
-    let mut next = 0usize; // next candidate to launch
-    let mut in_flight = 0usize;
-    let mut current = candidates[0]; // most recently launched (hedge target)
-    let mut hedged: Vec<usize> = Vec::new(); // launched as hedges
-    let mut last_answer: Option<Response> = None; // best non-2xx seen
-
-    spawn_attempt(
-        Arc::clone(shared),
-        Arc::clone(&topo.slots[candidates[next]]),
-        candidates[next],
-        path,
-        Arc::clone(&body),
-        tx.clone(),
-        ctx,
-        false,
-    );
-    next += 1;
-    in_flight += 1;
-
+    let (tx, rx): (Sender<Attempt>, Receiver<Attempt>) = bounded(topo.len().max(1));
+    let mut answers: Vec<Option<ClientResponse>> = Vec::new();
     loop {
-        let now = shared.cfg.clock.now();
-        if now >= deadline {
-            ClusterMetrics::inc(&shared.metrics.request_errors);
-            return Response::json(504, error_json("cluster deadline expired"));
-        }
-        let remaining = deadline.saturating_duration_since(now);
-        // While exactly one attempt is live and another candidate is
-        // available, silence past the adaptive threshold triggers a
-        // hedge; otherwise just wait out the deadline.
-        let wait = if in_flight == 1 && next < candidates.len() {
-            topo.slots[current].hedge_threshold(shared.cfg.hedge_min).min(remaining)
-        } else {
-            remaining
-        };
-        match rx.recv_timeout(wait.max(Duration::from_millis(1))) {
-            Ok((idx, Ok(resp), elapsed)) => {
-                in_flight -= 1;
-                topo.slots[idx].metrics.latency.record(elapsed);
-                match resp.status {
-                    503 => {
-                        // Alive but saturated: not a breaker event.
-                        topo.slots[idx].breaker.record_success();
-                        ClusterMetrics::inc(&topo.slots[idx].metrics.busy);
-                        last_answer = Some(pass_through(&resp, topo.slots[idx].addr()));
-                    }
-                    status => {
-                        topo.slots[idx].breaker.record_success();
-                        if status >= 500 {
-                            // Unexpected backend failure: surface it only
-                            // if nobody else can answer.
-                            ClusterMetrics::inc(&topo.slots[idx].metrics.errors);
-                            last_answer = Some(pass_through(&resp, topo.slots[idx].addr()));
-                        } else {
-                            // 200 (elected) or 422 (spec violated): a
-                            // definitive answer — first one wins.
-                            if hedged.contains(&idx) {
-                                ClusterMetrics::inc(&shared.metrics.hedge_wins);
-                            }
-                            return pass_through(&resp, topo.slots[idx].addr());
-                        }
-                    }
+        let now = clock.now();
+        match machine.poll(now) {
+            Step::Launch { attempt, slot, kind } => {
+                if kind != AttemptKind::Primary {
+                    let stage =
+                        if kind == AttemptKind::Hedge { Stage::Hedge } else { Stage::Failover };
+                    rec.record_event(trace_id, root, stage, slot as u64, 0);
                 }
-            }
-            Ok((idx, Err(_), _)) => {
-                in_flight -= 1;
-                topo.slots[idx].breaker.record_failure_at(shared.cfg.clock.now());
-                topo.slots[idx].pool.clear();
-                ClusterMetrics::inc(&topo.slots[idx].metrics.errors);
-                ClusterMetrics::inc(&topo.slots[idx].metrics.failovers);
-            }
-            Err(_) => {
-                // recv timeout: either the hedge threshold or just a
-                // deadline-bounded wait. Hedge if that's what tripped.
-                if in_flight == 1 && next < candidates.len() {
-                    ClusterMetrics::inc(&topo.slots[current].metrics.hedges);
-                    rec.record_event(trace_id, root, Stage::Hedge, candidates[next] as u64, 0);
-                    hedged.push(candidates[next]);
-                    current = candidates[next];
-                    spawn_attempt(
-                        Arc::clone(shared),
-                        Arc::clone(&topo.slots[candidates[next]]),
-                        candidates[next],
-                        path,
-                        Arc::clone(&body),
-                        tx.clone(),
-                        ctx,
-                        true,
-                    );
-                    next += 1;
-                    in_flight += 1;
-                }
-                continue;
-            }
-        }
-        // An attempt resolved without a definitive answer: launch the
-        // next candidate, or give up when none remain and none are live.
-        if in_flight == 0 {
-            if next < candidates.len() {
-                current = candidates[next];
-                rec.record_event(trace_id, root, Stage::Failover, candidates[next] as u64, 0);
                 spawn_attempt(
                     Arc::clone(shared),
-                    Arc::clone(&topo.slots[candidates[next]]),
-                    candidates[next],
+                    Arc::clone(&topo.slots[slot]),
+                    (attempt, slot),
                     path,
                     Arc::clone(&body),
                     tx.clone(),
                     ctx,
-                    false,
+                    kind == AttemptKind::Hedge,
                 );
-                next += 1;
-                in_flight += 1;
-            } else {
-                return match last_answer {
-                    // Every backend answered busy (or 5xx): relay the
-                    // last answer so the client sees the Retry-After.
-                    Some(resp) => resp,
-                    None => {
-                        ClusterMetrics::inc(&shared.metrics.request_errors);
-                        Response::json(502, error_json("no backend reachable"))
-                    }
-                };
+                answers.push(None);
+            }
+            Step::Wait(until) => match rx.recv_timeout(until.saturating_duration_since(now)) {
+                Ok((attempt, Ok(resp))) => {
+                    machine.on_response(clock.now(), attempt, resp.status);
+                    answers[attempt] = Some(resp);
+                }
+                Ok((attempt, Err(_))) => {
+                    machine.slot_of(attempt).pool.clear();
+                    machine.on_failure(clock.now(), attempt);
+                }
+                Err(_) => {} // the wake-up instant: poll again
+            },
+            Step::Done(Verdict::Relay(attempt)) => {
+                let resp = answers[attempt].as_ref().expect("relayed attempts answered");
+                return pass_through(resp, machine.slot_of(attempt).addr());
+            }
+            Step::Done(Verdict::Exhausted) => {
+                return Response::json(502, error_json("no backend reachable"))
+            }
+            Step::Done(Verdict::DeadlineExpired) => {
+                return Response::json(504, error_json("cluster deadline expired"))
             }
         }
     }
@@ -1120,6 +953,26 @@ fn prober_loop(shared: &Arc<Shared>) {
             let step = POLL.min(shared.cfg.health_interval - slept);
             std::thread::sleep(step);
             slept += step;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_relayed_busy_answer_keeps_its_retry_after() {
+        let busy = ClientResponse {
+            status: 503,
+            headers: vec![("retry-after".into(), "1".into())],
+            body: error_json("job queue full, retry shortly").into_bytes(),
+        };
+        let out = pass_through(&busy, "10.0.0.1:80");
+        assert_eq!(out.status, 503);
+        assert_eq!(out.body, busy.body);
+        for (name, value) in [("retry-after", "1"), ("x-backend", "10.0.0.1:80")] {
+            assert!(out.headers.iter().any(|(k, v)| k == name && v == value), "{name}");
         }
     }
 }

@@ -40,11 +40,11 @@ use crate::election::run_round;
 use crate::member::{MemberId, MemberInfo, RingPlan, Role, Status, View};
 use hre_runtime::trace::{FlightRecorder, SpanAttrs, SpanId, Stage};
 use hre_runtime::{ClockHandle, EpochClock, DEFAULT_TRACE_CAP};
-use hre_svc::http::{HttpConn, ReadOutcome, Request, Response};
+use hre_svc::http::{Request, Response, DEFAULT_MAX_BODY};
 use hre_svc::json::{self, Json};
 use hre_svc::{error_json, Client, StatusProvider};
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -186,6 +186,7 @@ struct Inner {
     me: MemberId,
     /// This node's bound control address (what peers dial).
     ctrl_addr: SocketAddr,
+    /// The membership view. Lock order: `view` before `last_seen`.
     view: Mutex<View>,
     epoch: EpochClock,
     config: Mutex<Option<ClusterTopology>>,
@@ -274,7 +275,14 @@ pub fn start(cfg: CtrlConfig) -> std::io::Result<CtrlHandle> {
         let inner = Arc::clone(&inner);
         std::thread::spawn(move || {
             hre_runtime::serve_connections(&listener, &inner.shutdown, |stream| {
-                connection_loop(stream, &inner)
+                hre_svc::http::serve_keep_alive(
+                    stream,
+                    DEFAULT_MAX_BODY,
+                    &inner.shutdown,
+                    None,
+                    || {},
+                    |req| route(req, &inner),
+                )
             });
         })
     };
@@ -495,36 +503,6 @@ fn accept_config(inner: &Inner, topo: ClusterTopology) -> Result<(), String> {
 // ---------------------------------------------------------------------
 // HTTP surface
 // ---------------------------------------------------------------------
-
-fn connection_loop(stream: TcpStream, inner: &Arc<Inner>) {
-    let Ok(mut conn) = HttpConn::new(stream, POLL) else { return };
-    loop {
-        match conn.read_request(Instant::now() + Duration::from_secs(2)) {
-            ReadOutcome::IdlePoll => {
-                if inner.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            ReadOutcome::Closed => return,
-            ReadOutcome::Malformed(why) => {
-                let _ = Response::json(400, error_json(&why)).write_to(conn.stream(), true);
-                return;
-            }
-            ReadOutcome::TooLarge { .. } => {
-                let _ = Response::json(413, error_json("control message too large"))
-                    .write_to(conn.stream(), true);
-                return;
-            }
-            ReadOutcome::Request(req) => {
-                let close = req.wants_close() || inner.shutdown.load(Ordering::Relaxed);
-                let resp = route(&req, inner);
-                if resp.write_to(conn.stream(), close).is_err() || close {
-                    return;
-                }
-            }
-        }
-    }
-}
 
 fn route(req: &Request, inner: &Arc<Inner>) -> Response {
     let body = String::from_utf8_lossy(&req.body);
@@ -805,8 +783,8 @@ fn gossip_tick(inner: &Arc<Inner>) {
 fn detect_failures(inner: &Arc<Inner>) {
     let now = inner.cfg.clock.now();
     let stale: Vec<MemberId> = {
-        let seen = inner.last_seen.lock().unwrap();
         let view = inner.view.lock().unwrap();
+        let seen = inner.last_seen.lock().unwrap();
         view.live()
             .filter(|m| m.id != inner.me)
             .filter(|m| {
@@ -969,5 +947,38 @@ fn initiate_election(inner: &Arc<Inner>, plan: RingPlan) {
             let _ = Client::connect(ctrl, CTRL_TIMEOUT)
                 .and_then(|mut c| c.post_json("/ctrl/commit", &commit_body));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn view_merges_and_failure_sweeps_do_not_deadlock() {
+        // A merge holds `view` while it seeds `last_seen`; the failure
+        // sweep used to take `last_seen` first, so the two interleaved
+        // wedged the node for good (its gossip handler and manager
+        // blocked forever: the churn bench's election stalls).
+        let node = start(CtrlConfig::default()).expect("node");
+        let doc = view_doc(&node.inner);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for merge in [true, false] {
+            let (inner, doc, tx) = (Arc::clone(&node.inner), doc.clone(), tx.clone());
+            std::thread::spawn(move || {
+                for _ in 0..20_000 {
+                    if merge {
+                        absorb_view_doc(&inner, &doc).expect("merge");
+                    } else {
+                        detect_failures(&inner);
+                    }
+                }
+                tx.send(()).expect("report");
+            });
+        }
+        for _ in 0..2 {
+            rx.recv_timeout(Duration::from_secs(20)).expect("view/last_seen lock-order deadlock");
+        }
+        node.shutdown();
     }
 }

@@ -56,6 +56,7 @@ fn add_stats(t: &mut RunStats, s: &RunStats) {
     t.failed += s.failed;
     t.hedges += s.hedges;
     t.failovers += s.failovers;
+    t.errors += s.errors;
     t.timeouts += s.timeouts;
     t.wasted += s.wasted;
     t.cache_hits += s.cache_hits;

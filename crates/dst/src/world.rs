@@ -1,7 +1,8 @@
 //! The whole serving path as one deterministic, virtual-time world.
 //!
 //! One [`World`] wires the real production components — the service's
-//! result cache, the cluster's breakers and hash ring, `hre-net`'s
+//! result cache, the router's request machine ([`Forward`]) over a real
+//! [`Topology`] (hash ring, breakers, per-backend metrics), `hre-net`'s
 //! retransmit window and reassembly, the control plane's CRDT view and
 //! `Ak` coordinator election — into a single event loop driven by a
 //! [`VirtualClock`] and a seeded [`SimFabric`]. Every latency, loss,
@@ -13,30 +14,42 @@
 //!
 //! - **I1 (config safety)**: the router never accepts two different
 //!   configurations at one epoch, and accepted epochs never regress.
-//! - **I2 (failure attribution)**: a client-visible failure implies
-//!   every timed-out attempt recorded a breaker failure, and the moment
-//!   is covered by a fault window or a non-closed breaker.
+//! - **I2 (failure attribution)**: every attempt timeout the world
+//!   injects reaches the router's breaker bookkeeping (each backend's
+//!   production `errors` counter equals its injected timeouts plus the
+//!   5xx answers it gave), and a client-visible failure happens only
+//!   inside a fault window or with some breaker not closed.
 //! - **I3 (answer fidelity)**: every 200 body is byte-equal to the
 //!   oracle's independently computed `response_json`.
 //!
 //! Elections additionally check **I0**: the coordinator `Ak` elects is
 //! the plan's Lyndon-rotation owner ([`RingPlan::expected_coordinator`]).
+//!
+//! The world models only what sits around the router: the backends
+//! (worker slots, a bounded queue, the result cache), the network
+//! (latency, partitions, slow links) and the control plane. Every
+//! launch, hedge, failover, deadline and final-answer decision comes
+//! from the same [`Forward`] machine the threaded router drives; an
+//! attempt's timeout is fed to it as a transport failure, exactly what
+//! the router's socket timeout produces.
 
 use crate::oracle;
 use crate::scenario::{FaultSpec, Rng, ScenarioKind, ScenarioPlan};
-use hre_cluster::{shard_key, Breaker, BreakerState, HashRing};
+use hre_cluster::{
+    shard_key, AttemptKind, BackendSlot, BackendSummary, Breaker, BreakerState, ClusterConfig,
+    ClusterMetrics, Forward, Step, Topology, Verdict,
+};
 use hre_ctrl::{MemberId, MemberInfo, RingPlan, Role, Status, View};
 use hre_net::frame::{encode_frame, FrameReader, KIND_ACK, KIND_DATA};
 use hre_net::reliable::{Offer, Reassembly};
 use hre_net::window::RetransmitWindow;
 use hre_runtime::trace::{render_tree, SpanAttrs, SpanId, Stage, TraceId};
-use hre_runtime::{
-    Backoff, Clock, FlightRecorder, LinkProfile, NetFabric, SimFabric, VirtualClock,
-};
+use hre_runtime::{Clock, FlightRecorder, LinkProfile, NetFabric, SimFabric, VirtualClock};
 use hre_svc::json::Json;
 use hre_svc::{error_json, response_json, AlgoId, CacheKey, ElectRequest, ShardedLru};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,7 +59,6 @@ pub const ROUTER: u64 = 1000;
 const ATTEMPT_TIMEOUT_NS: u64 = 120_000_000;
 const DEADLINE_NS: u64 = 400_000_000;
 const HEDGE_MIN_NS: u64 = 30_000_000;
-const HEDGE_MAX_NS: u64 = 120_000_000;
 const HEARTBEAT_NS: u64 = 75_000_000;
 const FAIL_TIMEOUT_NS: u64 = 260_000_000;
 const ELECT_COOLDOWN_NS: u64 = 350_000_000;
@@ -58,15 +70,16 @@ const HIT_COST_NS: u64 = 250_000;
 const MISS_BASE_NS: u64 = 800_000;
 const MISS_PER_LABEL_NS: u64 = 150_000;
 /// Aftermath margin appended to every fault window for the I2 sanity
-/// check: long enough for breakers (probe cap 640ms + jitter) to close.
+/// check: long enough for breakers (probe cap 640ms) to close.
 const WINDOW_MARGIN_NS: u64 = 1_600_000_000;
 
 /// Knobs for one run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorldOptions {
-    /// Plants the regression E24's gate (c) must catch: failover and
-    /// hedge attempts skip `record_failure_at` on timeout, so breakers
-    /// under-count and client-visible failures go unattributed.
+    /// Plants the regression E24's gate (c) must catch: the world
+    /// reports a failover or hedge attempt's timeout to the router
+    /// machine as a `503` instead of a transport failure, so that
+    /// timeout never reaches the breaker and I2 must notice.
     pub planted_regression: bool,
     /// Keep the full transcript text (sweeps keep only the hash).
     pub collect_transcript: bool,
@@ -83,14 +96,20 @@ pub struct RunStats {
     pub ok: u64,
     /// Requests answered 422 (invalid ring — a correct terminal answer).
     pub invalid: u64,
-    /// Requests answered 503 (pure backpressure, every attempt busy).
+    /// Requests answered with a relayed 503 (backpressure).
     pub busy: u64,
-    /// Client-visible failures (504 deadline / 502 exhausted).
+    /// Client-visible failures (504 deadline / 502 exhausted, or a
+    /// relayed 5xx other than 503).
     pub failed: u64,
-    /// Hedge attempts launched.
+    /// Hedges fired, summed over the router's per-backend metrics.
     pub hedges: u64,
-    /// Failover attempts launched.
+    /// Requests rerouted away from a backend (breaker open at pick, or
+    /// a transport failure), summed over the router's per-backend
+    /// metrics.
     pub failovers: u64,
+    /// Attempt errors (transport failures and 5xx other than 503),
+    /// summed over the router's per-backend metrics.
+    pub errors: u64,
     /// Attempts that timed out at the router.
     pub timeouts: u64,
     /// Responses that arrived after their request was already decided.
@@ -109,7 +128,7 @@ pub struct RunStats {
     pub config_rejects: u64,
     /// Peers declared dead by failure detectors.
     pub suspects: u64,
-    /// Breaker open transitions observed at the router.
+    /// Breaker open transitions, summed over the router's breakers.
     pub breaker_opens: u64,
     /// Fabric datagrams delivered.
     pub fabric_delivered: u64,
@@ -129,6 +148,7 @@ impl RunStats {
             ("failed", n(self.failed)),
             ("hedges", n(self.hedges)),
             ("failovers", n(self.failovers)),
+            ("errors", n(self.errors)),
             ("timeouts", n(self.timeouts)),
             ("wasted", n(self.wasted)),
             ("cache_hits", n(self.cache_hits)),
@@ -159,6 +179,9 @@ pub struct RunOutcome {
     pub transcript: Option<Vec<String>>,
     /// Rendered flight-recorder span tree when requested.
     pub spans: Option<String>,
+    /// The router's counters for every backend slot the run created
+    /// (slots dropped by a reconfiguration included), in creation order.
+    pub backends: Vec<BackendSummary>,
 }
 
 /// Ordered transcript with a running FNV-1a fingerprint.
@@ -184,21 +207,15 @@ impl Tape {
     }
 }
 
-/// How one proxied attempt resolved at the router.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Res {
-    Ok200,
-    Invalid422,
-    Busy,
-    Timeout,
-}
-
+/// One attempt as the world sees it: where it went and what came back.
 struct AttemptState {
     backend: u64,
+    /// Index into [`Router::slots`].
+    slot: usize,
+    kind: AttemptKind,
     sent_ns: u64,
-    resolved: Option<Res>,
-    recorded_failure: bool,
-    hedge: bool,
+    resolved: bool,
+    answer: Option<(u16, Option<String>)>,
     span: SpanId,
 }
 
@@ -206,23 +223,16 @@ struct ReqState {
     elect: ElectRequest,
     shard: u64,
     d: usize,
-    candidates: Vec<u64>,
-    next_cand: usize,
+    /// The router's machine for this request, from arrival to verdict.
+    fwd: Option<Forward>,
     attempts: Vec<AttemptState>,
-    skipped: Vec<u64>,
     admitted_ns: u64,
     deadline_ns: u64,
+    /// The wake-up the machine last asked for (older ones are stale).
+    wake_ns: Option<u64>,
     done: bool,
-    status: u16,
-    fail_open: bool,
     trace: TraceId,
     root_span: SpanId,
-}
-
-impl ReqState {
-    fn in_flight(&self) -> bool {
-        self.attempts.iter().any(|a| a.resolved.is_none())
-    }
 }
 
 struct QJob {
@@ -282,15 +292,45 @@ struct Backend {
     ctrl: CtrlNode,
 }
 
+/// One backend slot the run created, with the world's own count of
+/// what it fed the router machine about it (for I2).
+struct SlotLog {
+    slot: Arc<BackendSlot>,
+    timeouts: u64,
+    server_errors: u64,
+}
+
 struct Router {
-    ring: HashRing,
-    breakers: BTreeMap<u64, Breaker>,
+    cfg: ClusterConfig,
+    topo: Arc<Topology>,
+    metrics: Arc<ClusterMetrics>,
+    slots: Vec<SlotLog>,
     breaker_prev: BTreeMap<u64, BreakerState>,
-    hist: hre_runtime::Log2Histogram,
     cfg_epoch: u64,
     coordinator: u64,
     accepted: BTreeMap<u64, (u64, Vec<u64>)>,
-    hedge_ns: u64,
+}
+
+impl Router {
+    /// Installs `topo`, logging any slot it created.
+    fn install(&mut self, topo: Topology) {
+        for slot in &topo.slots {
+            if !self.slots.iter().any(|l| Arc::ptr_eq(&l.slot, slot)) {
+                let slot = Arc::clone(slot);
+                self.slots.push(SlotLog { slot, timeouts: 0, server_errors: 0 });
+            }
+        }
+        self.topo = Arc::new(topo);
+    }
+
+    fn slot_index(&self, slot: &Arc<BackendSlot>) -> usize {
+        self.slots.iter().position(|l| Arc::ptr_eq(&l.slot, slot)).expect("installed slot")
+    }
+}
+
+/// The backend id a slot dials (ring names are the ids).
+fn backend_id(slot: &BackendSlot) -> u64 {
+    slot.addr().parse().expect("ring names are ids")
 }
 
 struct OutLink {
@@ -341,11 +381,9 @@ enum Ev {
         req: u32,
         attempt: u32,
     },
-    HedgeFire {
+    Wake {
         req: u32,
-    },
-    Deadline {
-        req: u32,
+        at_ns: u64,
     },
     CtrlTick {
         node: u64,
@@ -383,28 +421,18 @@ impl Ord for Pending {
     }
 }
 
-fn sched(heap: &mut BinaryHeap<Reverse<Pending>>, seq: &mut u64, t_ns: u64, ev: Ev) {
-    let s = *seq;
-    *seq += 1;
-    heap.push(Reverse(Pending { t_ns, seq: s, ev }));
-}
-
+/// Notes a breaker's state in the transcript when it changed. Reads
+/// without side effects, so observing never admits a probe.
 fn note_breaker(
     tape: &mut Tape,
     prev: &mut BTreeMap<u64, BreakerState>,
     breaker: &Breaker,
     b: u64,
-    now: std::time::Instant,
     t_ns: u64,
-    stats: &mut RunStats,
 ) {
-    let st = breaker.state_at(now);
-    if prev.get(&b) != Some(&st) {
+    let st = breaker.peek_state();
+    if prev.insert(b, st) != Some(st) {
         tape.note(t_ns, &format!("breaker backend={b} state={}", st.as_str()));
-        if st == BreakerState::Open {
-            stats.breaker_opens += 1;
-        }
-        prev.insert(b, st);
     }
 }
 
@@ -495,14 +523,22 @@ impl World {
             violations: Vec::new(),
             backends: Vec::new(),
             router: Router {
-                ring: HashRing::new(&[], 16),
-                breakers: BTreeMap::new(),
+                cfg: ClusterConfig {
+                    vnodes: 16,
+                    deadline: Duration::from_nanos(DEADLINE_NS),
+                    hedge_min: Duration::from_nanos(HEDGE_MIN_NS),
+                    failure_threshold: 3,
+                    probe_start: Duration::from_millis(80),
+                    probe_cap: Duration::from_millis(640),
+                    ..ClusterConfig::default()
+                },
+                topo: Arc::new(Topology::initial(&ClusterConfig::default())),
+                metrics: Arc::new(ClusterMetrics::new()),
+                slots: Vec::new(),
                 breaker_prev: BTreeMap::new(),
-                hist: hre_runtime::Log2Histogram::default(),
                 cfg_epoch: 0,
                 coordinator: 0,
                 accepted: BTreeMap::new(),
-                hedge_ns: 60_000_000,
             },
             reqs: Vec::new(),
             out_links: BTreeMap::new(),
@@ -515,6 +551,11 @@ impl World {
             duration_ns,
             recorder,
         }
+    }
+
+    fn sched(&mut self, t_ns: u64, ev: Ev) {
+        self.heap.push(Reverse(Pending { t_ns, seq: self.evseq, ev }));
+        self.evseq += 1;
     }
 
     fn now_ns(&self) -> u64 {
@@ -564,21 +605,13 @@ impl World {
                 },
             });
         }
-        let names: Vec<String> = (0..n).map(|id| id.to_string()).collect();
-        self.router.ring = HashRing::new(&names, 16);
+        // The router's real topology over backends named by id: pools
+        // dial nothing until an attempt is sent, and this world sends
+        // none over sockets.
+        self.router.cfg.backends = (0..n).map(|id| id.to_string()).collect();
+        let topo = Topology::initial(&self.router.cfg);
+        self.router.install(topo);
         for id in 0..n {
-            self.router.breakers.insert(
-                id,
-                Breaker::with_backoff(
-                    3,
-                    Backoff::with_jitter(
-                        Duration::from_millis(80),
-                        Duration::from_millis(640),
-                        0.2,
-                        self.plan.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ),
-                ),
-            );
             self.router.breaker_prev.insert(id, BreakerState::Closed);
         }
         self.router.cfg_epoch = epoch0;
@@ -609,26 +642,23 @@ impl World {
                 elect,
                 shard,
                 d,
-                candidates: Vec::new(),
-                next_cand: 0,
+                fwd: None,
                 attempts: Vec::new(),
-                skipped: Vec::new(),
                 admitted_ns: 0,
                 deadline_ns: 0,
+                wake_ns: None,
                 done: false,
-                status: 0,
-                fail_open: false,
                 trace: TraceId(0),
                 root_span: SpanId(0),
             });
-            sched(&mut self.heap, &mut self.evseq, t, Ev::Arrival((self.reqs.len() - 1) as u32));
+            self.sched(t, Ev::Arrival((self.reqs.len() - 1) as u32));
         }
         self.stats.requests = self.reqs.len() as u64;
         for id in 0..n {
             let stagger = HEARTBEAT_NS / (n + 1) * (id + 1);
-            sched(&mut self.heap, &mut self.evseq, stagger, Ev::CtrlTick { node: id });
+            self.sched(stagger, Ev::CtrlTick { node: id });
         }
-        sched(&mut self.heap, &mut self.evseq, ROUTER_TICK_NS, Ev::RouterTick);
+        self.sched(ROUTER_TICK_NS, Ev::RouterTick);
         // Expand the fault timetable.
         let mut timeline = Vec::new();
         let mut windows = Vec::new();
@@ -666,7 +696,7 @@ impl World {
         }
         timeline.sort_by_key(|(t, _)| *t);
         for (i, (t, _)) in timeline.iter().enumerate() {
-            sched(&mut self.heap, &mut self.evseq, *t, Ev::Fault(i as u32));
+            self.sched(*t, Ev::Fault(i as u32));
         }
         self.timeline = timeline;
         self.fault_windows = windows;
@@ -701,8 +731,12 @@ impl World {
                 self.on_attempt_response(req, attempt, backend, status, body)
             }
             Ev::AttemptTimeout { req, attempt } => self.on_attempt_timeout(req, attempt),
-            Ev::HedgeFire { req } => self.on_hedge_fire(req),
-            Ev::Deadline { req } => self.on_deadline(req),
+            Ev::Wake { req, at_ns } => {
+                if self.reqs[req as usize].wake_ns == Some(at_ns) {
+                    self.reqs[req as usize].wake_ns = None;
+                    self.drive(req);
+                }
+            }
             Ev::CtrlTick { node } => self.on_ctrl_tick(node),
             Ev::RouterTick => self.on_router_tick(),
             Ev::Fault(i) => self.on_fault(i),
@@ -716,122 +750,83 @@ impl World {
 
     fn on_arrival(&mut self, req: u32) {
         let now = self.now_ns();
-        let (shard, trace, root_span) = {
-            let r = &mut self.reqs[req as usize];
-            r.admitted_ns = now;
-            r.deadline_ns = now + DEADLINE_NS;
-            if let Some(rec) = &self.recorder {
-                r.trace = rec.mint_trace();
-                r.root_span = rec.next_span_id();
-            }
-            (r.shard, r.trace, r.root_span)
-        };
-        let _ = (trace, root_span);
-        let order: Vec<u64> = self
-            .router
-            .ring
-            .preference_order(shard)
-            .into_iter()
-            .map(|i| self.router.ring.backends()[i].parse::<u64>().expect("ring names are ids"))
-            .collect();
         let now_i = self.clock.now();
-        let allowed: Vec<u64> = order
-            .iter()
-            .copied()
-            .filter(|b| {
-                self.router.breakers.get(b).map(|br| br.allows_request_at(now_i)).unwrap_or(false)
-            })
-            .collect();
-        let fail_open = allowed.is_empty() && !order.is_empty();
-        let candidates = if fail_open { order.clone() } else { allowed };
-        self.tape.note(
-            now,
-            &format!("req={req} arrive shard={shard:x} cands={candidates:?} fail_open={fail_open}"),
+        let fwd = Forward::new(
+            Arc::clone(&self.router.topo),
+            Arc::clone(&self.router.metrics),
+            self.reqs[req as usize].shard,
+            now_i,
+            now_i + self.router.cfg.deadline,
+            self.router.cfg.hedge_min,
         );
-        {
-            let r = &mut self.reqs[req as usize];
-            r.candidates = candidates;
-            r.fail_open = fail_open;
+        let cands: Vec<u64> =
+            fwd.candidates().iter().map(|&i| backend_id(&fwd.topology().slots[i])).collect();
+        let r = &mut self.reqs[req as usize];
+        r.admitted_ns = now;
+        r.deadline_ns = now + DEADLINE_NS;
+        if let Some(rec) = &self.recorder {
+            r.trace = rec.mint_trace();
+            r.root_span = rec.next_span_id();
         }
-        sched(&mut self.heap, &mut self.evseq, now + DEADLINE_NS, Ev::Deadline { req });
-        if self.reqs[req as usize].candidates.is_empty() {
-            self.finish_request(req, 502, "no-backends");
-            return;
-        }
-        self.launch_attempt(req, false);
+        self.tape.note(now, &format!("req={req} arrive shard={:x} cands={cands:?}", r.shard));
+        r.fwd = Some(fwd);
+        self.drive(req);
     }
 
-    /// Launches the next viable candidate; returns false when none
-    /// remain.
-    fn launch_attempt(&mut self, req: u32, hedge: bool) -> bool {
-        let now = self.now_ns();
-        let now_i = self.clock.now();
+    /// Carries out the router machine's steps for `req` until it waits
+    /// or decides.
+    fn drive(&mut self, req: u32) {
         loop {
-            let (backend, fail_open) = {
-                let r = &self.reqs[req as usize];
-                if r.next_cand >= r.candidates.len() {
-                    return false;
+            let now_i = self.clock.now();
+            let r = &mut self.reqs[req as usize];
+            let fwd = r.fwd.as_mut().expect("undecided request has a machine");
+            match fwd.poll(now_i) {
+                Step::Launch { attempt, slot, kind } => {
+                    let slot = Arc::clone(&fwd.topology().slots[slot]);
+                    self.send_attempt(req, attempt, &slot, kind);
                 }
-                (r.candidates[r.next_cand], r.fail_open)
-            };
-            self.reqs[req as usize].next_cand += 1;
-            // Breaker state may have changed since arrival; re-check
-            // (unless the request is already in fail-open mode).
-            let allowed = self
-                .router
-                .breakers
-                .get(&backend)
-                .map(|b| b.allows_request_at(now_i))
-                .unwrap_or(false);
-            if !allowed && !fail_open {
-                self.tape.note(now, &format!("req={req} skip backend={backend} breaker-open"));
-                self.reqs[req as usize].skipped.push(backend);
-                continue;
+                Step::Wait(at) => {
+                    let at_ns = at.saturating_duration_since(self.clock.epoch()).as_nanos() as u64;
+                    if r.wake_ns != Some(at_ns) {
+                        r.wake_ns = Some(at_ns);
+                        self.sched(at_ns, Ev::Wake { req, at_ns });
+                    }
+                    return;
+                }
+                Step::Done(verdict) => return self.decide(req, verdict),
             }
-            let attempt = self.reqs[req as usize].attempts.len() as u32;
-            let span = self.recorder.as_ref().map(|r| r.next_span_id()).unwrap_or(SpanId(0));
-            self.reqs[req as usize].attempts.push(AttemptState {
-                backend,
-                sent_ns: now,
-                resolved: None,
-                recorded_failure: false,
-                hedge,
-                span,
-            });
-            let kind = if hedge {
-                "hedge"
-            } else if attempt > 0 {
-                "failover"
-            } else {
-                "primary"
-            };
-            self.tape
-                .note(now, &format!("req={req} attempt={attempt} backend={backend} kind={kind}"));
-            if !self.blocked.contains(&(ROUTER, backend)) {
-                let lat = self.data_latency_ns(ROUTER, backend);
-                sched(
-                    &mut self.heap,
-                    &mut self.evseq,
-                    now + lat,
-                    Ev::AttemptArrive { req, attempt, backend },
-                );
-            }
-            sched(
-                &mut self.heap,
-                &mut self.evseq,
-                now + ATTEMPT_TIMEOUT_NS,
-                Ev::AttemptTimeout { req, attempt },
-            );
-            if attempt == 0 {
-                sched(
-                    &mut self.heap,
-                    &mut self.evseq,
-                    now + self.router.hedge_ns,
-                    Ev::HedgeFire { req },
-                );
-            }
-            return true;
         }
+    }
+
+    fn send_attempt(
+        &mut self,
+        req: u32,
+        attempt: usize,
+        slot: &Arc<BackendSlot>,
+        kind: AttemptKind,
+    ) {
+        let now = self.now_ns();
+        let backend = backend_id(slot);
+        let span = self.recorder.as_ref().map(|r| r.next_span_id()).unwrap_or(SpanId(0));
+        self.reqs[req as usize].attempts.push(AttemptState {
+            backend,
+            slot: self.router.slot_index(slot),
+            kind,
+            sent_ns: now,
+            resolved: false,
+            answer: None,
+            span,
+        });
+        self.tape.note(
+            now,
+            &format!("req={req} attempt={attempt} backend={backend} kind={}", kind.as_str()),
+        );
+        let attempt = attempt as u32;
+        if !self.blocked.contains(&(ROUTER, backend)) {
+            let lat = self.data_latency_ns(ROUTER, backend);
+            self.sched(now + lat, Ev::AttemptArrive { req, attempt, backend });
+        }
+        self.sched(now + ATTEMPT_TIMEOUT_NS, Ev::AttemptTimeout { req, attempt });
     }
 
     fn on_attempt_arrive(&mut self, req: u32, attempt: u32, backend: u64) {
@@ -856,9 +851,7 @@ impl World {
         } else {
             // Queue full: shed immediately, as the real pool does.
             let lat = self.data_latency_ns(backend, ROUTER);
-            sched(
-                &mut self.heap,
-                &mut self.evseq,
+            self.sched(
                 now + lat,
                 Ev::AttemptResponse { req, attempt, backend, status: 503, body: None },
             );
@@ -904,9 +897,7 @@ impl World {
                 SpanAttrs { a: backend, ..Default::default() },
             );
         }
-        sched(
-            &mut self.heap,
-            &mut self.evseq,
+        self.sched(
             now + cost,
             Ev::JobDone {
                 backend,
@@ -935,12 +926,7 @@ impl World {
         self.backends[backend as usize].busy -= 1;
         if self.backends[backend as usize].alive && !self.blocked.contains(&(backend, ROUTER)) {
             let lat = self.data_latency_ns(backend, ROUTER);
-            sched(
-                &mut self.heap,
-                &mut self.evseq,
-                now + lat,
-                Ev::AttemptResponse { req, attempt, backend, status, body },
-            );
+            self.sched(now + lat, Ev::AttemptResponse { req, attempt, backend, status, body });
         }
         // Pull queued work, shedding anything that expired while queued.
         loop {
@@ -956,9 +942,7 @@ impl World {
             };
             if now > job.deadline_ns {
                 let lat = self.data_latency_ns(backend, ROUTER);
-                sched(
-                    &mut self.heap,
-                    &mut self.evseq,
+                self.sched(
                     now + lat,
                     Ev::AttemptResponse {
                         req: job.req,
@@ -982,203 +966,169 @@ impl World {
         status: u16,
         body: Option<String>,
     ) {
-        let now = self.now_ns();
-        let now_i = self.clock.now();
-        if self.blocked.contains(&(backend, ROUTER)) {
-            return; // the response died on a partition cut
-        }
-        let already_resolved =
-            self.reqs[req as usize].attempts[attempt as usize].resolved.is_some();
-        if status == 200 {
-            if let Some(br) = self.router.breakers.get(&backend) {
-                br.record_success();
-                note_breaker(
-                    &mut self.tape,
-                    &mut self.router.breaker_prev,
-                    br,
-                    backend,
-                    now_i,
-                    now,
-                    &mut self.stats,
-                );
-            }
-        }
-        if already_resolved || self.reqs[req as usize].done {
-            self.stats.wasted += 1;
-            return;
-        }
-        match status {
-            200 => {
-                self.reqs[req as usize].attempts[attempt as usize].resolved = Some(Res::Ok200);
-                self.record_attempt_span(req, attempt, false);
-                // I3: the body must equal the oracle's independent
-                // recomputation, byte for byte.
-                let (elect, d) = {
-                    let r = &self.reqs[req as usize];
-                    (r.elect.clone(), r.d)
-                };
-                let (oracle_result, od) = oracle::elect_canonical(&elect);
-                debug_assert_eq!(d, od);
-                let expect = match oracle_result {
-                    Ok(out) => {
-                        let out = out.into_coords(od, elect.labels.len());
-                        // I0 (generalized): a 200's leader must satisfy
-                        // the request algorithm's declarative winner
-                        // rule, whichever engine served it.
-                        let ring = hre_ring::RingLabeling::from_raw(&elect.labels);
-                        let want = hre_algos::by_name(elect.algo.name())
-                            .and_then(|e| e.oracle_leader(&ring));
-                        if let Some(want) = want {
-                            if out.leader != want {
-                                self.violations.push(format!(
-                                    "I0 leader violates {} winner rule: req={req} got={} \
-                                     expected={want}",
-                                    elect.algo.name(),
-                                    out.leader
-                                ));
-                            }
-                        }
-                        response_json(&elect, &out)
-                    }
-                    Err(e) => error_json(&e),
-                };
-                if body.as_deref() != Some(expect.as_str()) {
-                    self.violations.push(format!(
-                        "I3 response body diverges from oracle: req={req} backend={backend}"
-                    ));
-                }
-                let lat_ns = now - self.reqs[req as usize].admitted_ns;
-                self.router.hist.record(Duration::from_nanos(lat_ns));
-                self.tape.note(
-                    now,
-                    &format!(
-                        "req={req} done status=200 backend={backend} attempts={} lat_us={}",
-                        self.reqs[req as usize].attempts.len(),
-                        lat_ns / 1_000
-                    ),
-                );
-                self.stats.ok += 1;
-                self.finish_request_quietly(req, 200);
-            }
-            422 => {
-                self.reqs[req as usize].attempts[attempt as usize].resolved = Some(Res::Invalid422);
-                self.record_attempt_span(req, attempt, false);
-                self.tape.note(now, &format!("req={req} done status=422 backend={backend}"));
-                self.stats.invalid += 1;
-                self.finish_request_quietly(req, 422);
-            }
-            _ => {
-                // 503 queue-full or 504 expired-in-queue: backpressure.
-                self.reqs[req as usize].attempts[attempt as usize].resolved = Some(Res::Busy);
-                self.record_attempt_span(req, attempt, true);
-                self.tape.note(
-                    now,
-                    &format!("req={req} attempt={attempt} busy status={status} backend={backend}"),
-                );
-                self.after_attempt_resolution(req);
-            }
-        }
+        if !self.blocked.contains(&(backend, ROUTER)) {
+            self.resolve(req, attempt, Some((status, body)));
+        } // else the response died on a partition cut
     }
 
     fn on_attempt_timeout(&mut self, req: u32, attempt: u32) {
-        let now = self.now_ns();
-        let now_i = self.clock.now();
-        {
-            let r = &self.reqs[req as usize];
-            if r.done || r.attempts[attempt as usize].resolved.is_some() {
-                return;
-            }
-        }
-        self.stats.timeouts += 1;
-        let backend = self.reqs[req as usize].attempts[attempt as usize].backend;
-        self.reqs[req as usize].attempts[attempt as usize].resolved = Some(Res::Timeout);
-        self.record_attempt_span(req, attempt, true);
-        // THE PLANTED REGRESSION: when enabled, only the primary
-        // attempt's timeout reaches the breaker — failover and hedge
-        // timeouts vanish from the health signal.
-        let record = !(self.opts.planted_regression && attempt > 0);
-        if record {
-            if let Some(br) = self.router.breakers.get(&backend) {
-                br.record_failure_at(now_i);
-                self.reqs[req as usize].attempts[attempt as usize].recorded_failure = true;
-                note_breaker(
-                    &mut self.tape,
-                    &mut self.router.breaker_prev,
-                    br,
-                    backend,
-                    now_i,
-                    now,
-                    &mut self.stats,
-                );
-            }
-        }
-        self.tape.note(
-            now,
-            &format!("req={req} attempt={attempt} timeout backend={backend} recorded={record}"),
-        );
-        self.after_attempt_resolution(req);
+        self.resolve(req, attempt, None);
     }
 
-    /// After an attempt resolves without deciding the request: fail
-    /// over if nothing else is in flight, or finish if out of options.
-    fn after_attempt_resolution(&mut self, req: u32) {
-        let (done, in_flight, exhausted) = {
-            let r = &self.reqs[req as usize];
-            (r.done, r.in_flight(), r.next_cand >= r.candidates.len())
-        };
-        if done || in_flight {
+    /// Feeds an attempt's outcome to its request's machine: a backend
+    /// answer, or `None` for a timeout (a transport failure to the
+    /// router), then drives the machine on.
+    fn resolve(&mut self, req: u32, attempt: u32, answer: Option<(u16, Option<String>)>) {
+        let (now, now_i) = (self.now_ns(), self.clock.now());
+        let r = &mut self.reqs[req as usize];
+        let a = &mut r.attempts[attempt as usize];
+        if r.done || a.resolved {
+            // A late answer: the router's receiver is gone, as in
+            // production.
+            self.stats.wasted += answer.is_some() as u64;
             return;
         }
-        if !exhausted {
-            self.stats.failovers += 1;
-            let now = self.now_ns();
-            self.tape.note(now, &format!("req={req} failover"));
-            if self.launch_attempt(req, false) {
-                return;
+        a.resolved = true;
+        let log = &mut self.router.slots[a.slot];
+        let fwd = r.fwd.as_mut().expect("undecided request has a machine");
+        let (what, err) = match answer {
+            Some((status, body)) => {
+                log.server_errors += (status >= 500 && status != 503) as u64;
+                fwd.on_response(now_i, attempt as usize, status);
+                a.answer = Some((status, body));
+                (format!("answer status={status}"), status >= 500)
             }
-        }
-        // Nothing launchable: classify by what the attempts saw.
-        let all_busy =
-            self.reqs[req as usize].attempts.iter().all(|a| a.resolved == Some(Res::Busy));
-        if all_busy && !self.reqs[req as usize].attempts.is_empty() {
-            self.stats.busy += 1;
-            let now = self.now_ns();
-            self.tape.note(now, &format!("req={req} done status=503 busy"));
-            self.finish_request_quietly(req, 503);
-        } else {
-            self.finish_request(req, 502, "exhausted");
-        }
-    }
-
-    fn on_hedge_fire(&mut self, req: u32) {
-        let now = self.now_ns();
-        let eligible = {
-            let r = &self.reqs[req as usize];
-            !r.done
-                && r.attempts.len() == 1
-                && r.attempts[0].resolved.is_none()
-                && r.next_cand < r.candidates.len()
+            None => {
+                self.stats.timeouts += 1;
+                log.timeouts += 1;
+                // THE PLANTED REGRESSION: when armed, a failover or hedge
+                // attempt's timeout reaches the router as a 503, which
+                // books a breaker success instead of a failure.
+                let record = !(self.opts.planted_regression && attempt > 0);
+                if record {
+                    fwd.on_failure(now_i, attempt as usize);
+                } else {
+                    fwd.on_response(now_i, attempt as usize, 503);
+                    a.answer = Some((503, None));
+                }
+                (format!("timeout recorded={record}"), true)
+            }
         };
-        if eligible {
-            self.stats.hedges += 1;
-            self.tape.note(now, &format!("req={req} hedge"));
-            self.launch_attempt(req, true);
+        let backend = a.backend;
+        let prev = &mut self.router.breaker_prev;
+        note_breaker(&mut self.tape, prev, &log.slot.breaker, backend, now);
+        if let Some(rec) = &self.recorder {
+            let epoch = self.clock.epoch();
+            rec.record_span_with_id(
+                a.span,
+                r.trace,
+                r.root_span,
+                if a.kind == AttemptKind::Hedge { Stage::Hedge } else { Stage::Attempt },
+                epoch + Duration::from_nanos(a.sent_ns),
+                epoch + Duration::from_nanos(now),
+                SpanAttrs { a: backend, err, ..Default::default() },
+            );
+        }
+        self.tape.note(now, &format!("req={req} attempt={attempt} {what} backend={backend}"));
+        self.drive(req);
+    }
+
+    /// The machine's verdict: relay an answer or fail the request.
+    fn decide(&mut self, req: u32, verdict: Verdict) {
+        let now = self.now_ns();
+        let r = &mut self.reqs[req as usize];
+        r.fwd = None;
+        r.wake_ns = None;
+        let (status, body, backend) = match verdict {
+            Verdict::Relay(i) => {
+                let a = &r.attempts[i];
+                let (status, body) = a.answer.clone().expect("relayed attempts answered");
+                (status, body, a.backend)
+            }
+            Verdict::Exhausted => return self.fail(req, 502, "exhausted"),
+            Verdict::DeadlineExpired => return self.fail(req, 504, "deadline"),
+        };
+        match status {
+            200 => {
+                self.check_answer(req, backend, body.as_deref());
+                self.stats.ok += 1;
+            }
+            422 => self.stats.invalid += 1,
+            503 => self.stats.busy += 1,
+            status => return self.fail(req, status, "relayed"),
+        }
+        let r = &self.reqs[req as usize];
+        self.tape.note(
+            now,
+            &format!(
+                "req={req} done status={status} backend={backend} attempts={} lat_us={}",
+                r.attempts.len(),
+                (now - r.admitted_ns) / 1_000
+            ),
+        );
+        self.close(req, status);
+    }
+
+    /// I3: a relayed 200 body must equal the oracle's independent
+    /// recomputation, byte for byte; and I0 (generalized): its leader
+    /// must satisfy the request algorithm's declarative winner rule,
+    /// whichever engine served it.
+    fn check_answer(&mut self, req: u32, backend: u64, body: Option<&str>) {
+        let r = &self.reqs[req as usize];
+        let (elect, d) = (r.elect.clone(), r.d);
+        let (oracle_result, od) = oracle::elect_canonical(&elect);
+        debug_assert_eq!(d, od);
+        let expect = match oracle_result {
+            Ok(out) => {
+                let out = out.into_coords(od, elect.labels.len());
+                let ring = hre_ring::RingLabeling::from_raw(&elect.labels);
+                let want =
+                    hre_algos::by_name(elect.algo.name()).and_then(|e| e.oracle_leader(&ring));
+                if let Some(want) = want.filter(|&w| out.leader != w) {
+                    self.violations.push(format!(
+                        "I0 leader violates {} winner rule: req={req} got={} expected={want}",
+                        elect.algo.name(),
+                        out.leader
+                    ));
+                }
+                response_json(&elect, &out)
+            }
+            Err(e) => error_json(&e),
+        };
+        if body != Some(expect.as_str()) {
+            self.violations.push(format!(
+                "I3 response body diverges from oracle: req={req} backend={backend}"
+            ));
         }
     }
 
-    fn on_deadline(&mut self, req: u32) {
-        if !self.reqs[req as usize].done {
-            self.finish_request(req, 504, "deadline");
+    /// A client-visible failure, with the I2 attribution check: the
+    /// moment must be inside a fault window or have some breaker not
+    /// closed.
+    fn fail(&mut self, req: u32, status: u16, reason: &str) {
+        let now = self.now_ns();
+        self.stats.failed += 1;
+        let attempts = self.reqs[req as usize].attempts.len();
+        self.tape.note(
+            now,
+            &format!("req={req} fail status={status} reason={reason} attempts={attempts}"),
+        );
+        let in_window = self.fault_windows.iter().any(|(s, e)| now >= *s && now <= *e);
+        let slots = &self.router.topo.slots;
+        if !in_window && slots.iter().all(|s| s.breaker.peek_state() == BreakerState::Closed) {
+            self.violations.push(format!(
+                "I2 unexplained client failure: req={req} status={status} at t={now} \
+                 with no fault window and every breaker closed"
+            ));
         }
+        self.close(req, status);
     }
 
-    /// Terminal bookkeeping without failure-invariant checks (success,
-    /// invalid, and pure-backpressure outcomes).
-    fn finish_request_quietly(&mut self, req: u32, status: u16) {
+    /// Terminal bookkeeping: the request is done; record its root span.
+    fn close(&mut self, req: u32, status: u16) {
         let now = self.now_ns();
         let r = &mut self.reqs[req as usize];
         r.done = true;
-        r.status = status;
         if let Some(rec) = &self.recorder {
             let epoch = self.clock.epoch();
             rec.record_span_with_id(
@@ -1198,68 +1148,15 @@ impl World {
         }
     }
 
-    /// Terminal bookkeeping for client-visible failures, with the I2
-    /// attribution checks.
-    fn finish_request(&mut self, req: u32, status: u16, reason: &str) {
-        let now = self.now_ns();
-        let now_i = self.clock.now();
-        self.stats.failed += 1;
-        self.tape.note(
-            now,
-            &format!(
-                "req={req} fail status={status} reason={reason} attempts={}",
-                self.reqs[req as usize].attempts.len()
-            ),
-        );
-        // I2b: the failure moment must be explainable — inside a fault
-        // window or with some breaker not closed.
-        let in_window = self.fault_windows.iter().any(|(s, e)| now >= *s && now <= *e);
-        let breaker_open =
-            self.router.breakers.values().any(|b| b.state_at(now_i) != BreakerState::Closed);
-        if !in_window && !breaker_open {
-            self.violations.push(format!(
-                "I2 unexplained client failure: req={req} status={status} at t={now} \
-                 with no fault window and every breaker closed"
-            ));
-        }
-        self.finish_request_quietly(req, status);
-    }
-
-    fn record_attempt_span(&mut self, req: u32, attempt: u32, err: bool) {
-        if let Some(rec) = &self.recorder {
-            let now = self.now_ns();
-            let epoch = self.clock.epoch();
-            let r = &self.reqs[req as usize];
-            let a = &r.attempts[attempt as usize];
-            rec.record_span_with_id(
-                a.span,
-                r.trace,
-                r.root_span,
-                if a.hedge { Stage::Hedge } else { Stage::Attempt },
-                epoch + Duration::from_nanos(a.sent_ns),
-                epoch + Duration::from_nanos(now),
-                SpanAttrs { a: a.backend, err, ..Default::default() },
-            );
-        }
-    }
-
     // ---- router maintenance ----------------------------------------
 
     fn on_router_tick(&mut self) {
         let now = self.now_ns();
         let now_i = self.clock.now();
-        let ids: Vec<u64> = self.router.breakers.keys().copied().collect();
-        for b in ids {
-            let br = self.router.breakers.get(&b).expect("listed");
-            note_breaker(
-                &mut self.tape,
-                &mut self.router.breaker_prev,
-                br,
-                b,
-                now_i,
-                now,
-                &mut self.stats,
-            );
+        let topo = Arc::clone(&self.router.topo);
+        for slot in &topo.slots {
+            let (b, br) = (backend_id(slot), &slot.breaker);
+            note_breaker(&mut self.tape, &mut self.router.breaker_prev, br, b, now);
             if br.state_at(now_i) == BreakerState::HalfOpen {
                 let reachable = !self.blocked.contains(&(ROUTER, b))
                     && !self.blocked.contains(&(b, ROUTER))
@@ -1270,24 +1167,11 @@ impl World {
                     br.record_failure_at(now_i);
                 }
                 self.tape.note(now, &format!("probe backend={b} ok={reachable}"));
-                note_breaker(
-                    &mut self.tape,
-                    &mut self.router.breaker_prev,
-                    br,
-                    b,
-                    now_i,
-                    now,
-                    &mut self.stats,
-                );
+                note_breaker(&mut self.tape, &mut self.router.breaker_prev, br, b, now);
             }
         }
-        // Adaptive hedge threshold: twice the observed p95, clamped.
-        let p95_us = self.router.hist.snapshot().quantile_us(0.95);
-        if p95_us > 0 {
-            self.router.hedge_ns = (2 * p95_us * 1_000).clamp(HEDGE_MIN_NS, HEDGE_MAX_NS);
-        }
         if now < self.duration_ns {
-            sched(&mut self.heap, &mut self.evseq, now + ROUTER_TICK_NS, Ev::RouterTick);
+            self.sched(now + ROUTER_TICK_NS, Ev::RouterTick);
         }
     }
 
@@ -1303,7 +1187,7 @@ impl World {
     fn on_ctrl_tick(&mut self, node: u64) {
         let now = self.now_ns();
         if now < self.duration_ns {
-            sched(&mut self.heap, &mut self.evseq, now + HEARTBEAT_NS, Ev::CtrlTick { node });
+            self.sched(now + HEARTBEAT_NS, Ev::CtrlTick { node });
         }
         if !self.backends[node as usize].alive {
             return;
@@ -1455,12 +1339,7 @@ impl World {
                 SpanAttrs { a: epoch, b: plan.len() as u64, root: true, ..Default::default() },
             );
         }
-        sched(
-            &mut self.heap,
-            &mut self.evseq,
-            now + latency,
-            Ev::Announce { node, epoch, coordinator, order },
-        );
+        self.sched(now + latency, Ev::Announce { node, epoch, coordinator, order });
     }
 
     fn on_announce(&mut self, node: u64, epoch: u64, coordinator: u64, order: Vec<u64>) {
@@ -1638,7 +1517,8 @@ impl World {
         self.router.cfg_epoch = cfg.epoch;
         self.router.coordinator = cfg.coordinator;
         let names: Vec<String> = sorted.iter().map(|id| id.to_string()).collect();
-        self.router.ring = HashRing::new(&names, 16);
+        let next = self.router.topo.successor(cfg.epoch, &names, &self.router.cfg);
+        self.router.install(next);
         self.stats.config_accepts += 1;
         self.tape.note(
             now,
@@ -1764,21 +1644,30 @@ impl World {
     fn finish(mut self) -> RunOutcome {
         let now = self.now_ns();
         // I2a: every timed-out attempt — on any request, however it
-        // ended — must have fed the breaker. Checked globally because a
-        // swallowed failure on a request that later succeeds is exactly
-        // the kind of silent health-signal under-count the planted
-        // regression models.
-        for (req, r) in self.reqs.iter().enumerate() {
-            for (i, a) in r.attempts.iter().enumerate() {
-                if a.resolved == Some(Res::Timeout) && !a.recorded_failure {
-                    self.violations.push(format!(
-                        "I2 unattributed timeout: req={req} attempt={i} backend={} \
-                         timed out without recording a breaker failure",
-                        a.backend
-                    ));
-                }
+        // ended — must have reached the router's breaker bookkeeping:
+        // each backend's production error count equals the timeouts the
+        // world injected plus the 5xx answers it relayed. Checked
+        // globally because a swallowed failure on a request that later
+        // succeeds is exactly the kind of silent health-signal
+        // under-count the planted regression models.
+        for (i, log) in self.router.slots.iter().enumerate() {
+            let counted = log.slot.metrics.errors.load(Ordering::Relaxed);
+            if counted != log.timeouts + log.server_errors {
+                self.violations.push(format!(
+                    "I2 unattributed timeout: backend={} slot={i} timed out {} attempt(s) and \
+                     answered {} 5xx, but the router counted {counted} error(s)",
+                    log.slot.addr(),
+                    log.timeouts,
+                    log.server_errors
+                ));
             }
         }
+        let backends: Vec<BackendSummary> =
+            self.router.slots.iter().map(|l| BackendSummary::of(&l.slot)).collect();
+        self.stats.hedges = backends.iter().map(|b| b.hedges).sum();
+        self.stats.failovers = backends.iter().map(|b| b.failovers).sum();
+        self.stats.errors = backends.iter().map(|b| b.errors).sum();
+        self.stats.breaker_opens = backends.iter().map(|b| b.breaker_opens).sum();
         self.stats.fabric_delivered = self.fabric.delivered_total();
         self.stats.fabric_dropped = self.fabric.dropped_total();
         self.tape.note(
@@ -1800,6 +1689,7 @@ impl World {
             stats: self.stats,
             transcript: self.tape.lines,
             spans,
+            backends,
         }
     }
 }
@@ -1886,6 +1776,37 @@ mod tests {
             "uniform algo draws on homonym rings must exercise the 422 path \
              (distinct-label engines rejecting pool rings)"
         );
+    }
+
+    #[test]
+    fn reported_counters_are_the_routers_own_bookkeeping() {
+        let plans = std::iter::once(ScenarioPlan::generate(ScenarioKind::Mixed, 7))
+            .chain((1..=4).map(|seed| ScenarioPlan::generate(ScenarioKind::BackendKill, seed)));
+        let mut seen = RunStats::default();
+        for plan in plans {
+            let opts = WorldOptions { collect_transcript: true, ..Default::default() };
+            let out = run_plan(&plan, &opts);
+            let what = format!("{} seed {}", plan.kind.as_str(), plan.seed);
+            assert!(out.violations.is_empty(), "{what}: {:?}", out.violations);
+            let sum = |f: fn(&BackendSummary) -> u64| out.backends.iter().map(f).sum::<u64>();
+            assert_eq!(out.stats.hedges, sum(|b| b.hedges), "{what}");
+            assert_eq!(out.stats.failovers, sum(|b| b.failovers), "{what}");
+            assert_eq!(out.stats.errors, sum(|b| b.errors), "{what}");
+            // The world launched exactly what the machine booked.
+            let lines = out.transcript.expect("collected");
+            let launched = |kind: &str| {
+                let tail = format!("kind={kind}");
+                lines.iter().filter(|l| l.ends_with(&tail)).count() as u64
+            };
+            assert_eq!(launched("hedge"), out.stats.hedges, "{what}");
+            let attempts = launched("primary") + launched("failover") + launched("hedge");
+            assert_eq!(attempts, sum(|b| b.requests), "{what}");
+            assert!(out.stats.errors >= out.stats.timeouts, "{what}: every timeout is an error");
+            seen.hedges += out.stats.hedges;
+            seen.failovers += out.stats.failovers;
+            seen.errors += out.stats.errors;
+        }
+        assert!(seen.hedges > 0 && seen.failovers > 0 && seen.errors > 0, "{seen:?}");
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! multi-line headers. Requests using unsupported features get a clean
 //! `400`/`411` instead of undefined behavior.
 
+use crate::api::error_json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Upper bound on head (request line + headers) size.
@@ -371,6 +373,85 @@ impl HttpConn {
                 }
             }
         }
+    }
+}
+
+/// How often an idle keep-alive connection wakes to check the shutdown
+/// flag.
+pub const KEEP_ALIVE_POLL: Duration = Duration::from_millis(25);
+
+/// How long a peer may take to finish a request it has started sending.
+pub const READ_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Serves one keep-alive connection until the peer closes, a framing
+/// error, or `shutdown`: the request loop every daemon in the workspace
+/// (service, router, control node) runs on its connection threads.
+///
+/// - Garbage gets `400` and the connection closes.
+/// - A body over `max_body` gets `413`; keep-alive survives only if the
+///   oversized body was fully drained and the daemon is not draining.
+/// - Each request goes to `route`; a request asking for `Connection:
+///   close`, or one served while draining, closes after its answer.
+///
+/// `open` (when given) is the open-connections gauge, raised for the
+/// connection's lifetime; `on_reject` counts each `400` and `413`.
+pub fn serve_keep_alive(
+    stream: TcpStream,
+    max_body: usize,
+    shutdown: &AtomicBool,
+    open: Option<&AtomicI64>,
+    on_reject: impl Fn(),
+    mut route: impl FnMut(&Request) -> Response,
+) {
+    let Ok(mut conn) = HttpConn::new(stream, KEEP_ALIVE_POLL) else { return };
+    conn.set_max_body(max_body);
+    let _open = open.map(OpenConn::new);
+    let draining = || shutdown.load(Ordering::Relaxed);
+    loop {
+        match conn.read_request(Instant::now() + READ_DEADLINE) {
+            ReadOutcome::IdlePoll if draining() => return,
+            ReadOutcome::IdlePoll => {}
+            ReadOutcome::Closed => return,
+            ReadOutcome::Malformed(why) => {
+                on_reject();
+                let _ = Response::json(400, error_json(&why)).write_to(conn.stream(), true);
+                return;
+            }
+            ReadOutcome::TooLarge { declared, drained } => {
+                on_reject();
+                let why =
+                    format!("request body of {declared} bytes exceeds the {max_body} byte limit");
+                let close = !drained || draining();
+                let resp = Response::json(413, error_json(&why));
+                if resp.write_to(conn.stream(), close).is_err() || close {
+                    return;
+                }
+            }
+            ReadOutcome::Request(req) => {
+                let close = req.wants_close() || draining();
+                let resp = route(&req);
+                if resp.write_to(conn.stream(), close).is_err() || close {
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// Holds an open-connections gauge up for as long as it lives, whatever
+/// the path out of the connection loop.
+struct OpenConn<'a>(&'a AtomicI64);
+
+impl<'a> OpenConn<'a> {
+    fn new(gauge: &'a AtomicI64) -> OpenConn<'a> {
+        gauge.fetch_add(1, Ordering::Relaxed);
+        OpenConn(gauge)
+    }
+}
+
+impl Drop for OpenConn<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -807,30 +888,26 @@ mod tests {
         assert!(!req.wants_close());
     }
 
+    /// Serves one connection through the shared keep-alive loop until
+    /// the client hangs up; `route` answers each request.
+    fn keep_alive_server(
+        listener: &TcpListener,
+        max_body: usize,
+        route: impl FnMut(&Request) -> Response + Send + 'static,
+    ) -> std::thread::JoinHandle<()> {
+        let listener = listener.try_clone().expect("clone listener");
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            serve_keep_alive(stream, max_body, &AtomicBool::new(false), None, || {}, route);
+        })
+    }
+
     #[test]
     fn keep_alive_carries_multiple_requests() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
-        let server = std::thread::spawn({
-            let listener = listener.try_clone().expect("clone");
-            move || {
-                let (stream, _) = listener.accept().expect("accept");
-                let mut conn = HttpConn::new(stream, Duration::from_millis(20)).expect("conn");
-                let mut served = 0;
-                while served < 3 {
-                    match conn.read_request(Instant::now() + Duration::from_secs(2)) {
-                        ReadOutcome::Request(req) => {
-                            served += 1;
-                            Response::text(200, req.path.clone().into_bytes())
-                                .write_to(conn.stream(), false)
-                                .expect("write");
-                        }
-                        ReadOutcome::IdlePoll => continue,
-                        other => panic!("unexpected {other:?}"),
-                    }
-                }
-                served
-            }
+        let server = keep_alive_server(&listener, DEFAULT_MAX_BODY, |req| {
+            Response::text(200, req.path.clone().into_bytes())
         });
         let mut client = Client::connect(&addr, Duration::from_secs(2)).expect("connect");
         for path in ["/a", "/b", "/c"] {
@@ -838,7 +915,8 @@ mod tests {
             assert_eq!(resp.status, 200);
             assert_eq!(resp.body_text(), path);
         }
-        assert_eq!(server.join().expect("join"), 3);
+        drop(client);
+        server.join().expect("join");
     }
 
     #[test]
@@ -850,44 +928,21 @@ mod tests {
         // the next request.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
-        let server = std::thread::spawn({
-            let listener = listener.try_clone().expect("clone");
-            move || {
-                let (stream, _) = listener.accept().expect("accept");
-                let mut conn = HttpConn::new(stream, Duration::from_millis(20)).expect("conn");
-                conn.set_max_body(64);
-                let mut outcomes = Vec::new();
-                for _ in 0..2 {
-                    loop {
-                        match conn.read_request(Instant::now() + Duration::from_secs(2)) {
-                            ReadOutcome::IdlePoll => continue,
-                            ReadOutcome::TooLarge { declared, drained } => {
-                                outcomes.push(format!("too-large {declared} {drained}"));
-                                Response::text(413, "").write_to(conn.stream(), false).unwrap();
-                                break;
-                            }
-                            ReadOutcome::Request(req) => {
-                                outcomes.push(format!("request {}", req.body.len()));
-                                Response::text(200, "").write_to(conn.stream(), false).unwrap();
-                                break;
-                            }
-                            other => panic!("unexpected {other:?}"),
-                        }
-                    }
-                }
-                outcomes
-            }
-        });
+        let server =
+            keep_alive_server(&listener, 64, |req| Response::text(200, req.body.len().to_string()));
         let mut client = Client::connect(&addr, Duration::from_secs(2)).expect("connect");
         let resp = client.request("POST", "/elect", Some(&[b'x'; 200])).expect("oversized");
         assert_eq!(resp.status, 413);
+        assert_eq!(
+            resp.body_text(),
+            crate::api::error_json("request body of 200 bytes exceeds the 64 byte limit")
+        );
+        assert_eq!(resp.header("connection"), Some("keep-alive"));
         // The connection is still usable: an in-cap request succeeds.
         let resp = client.request("POST", "/elect", Some(&[b'y'; 10])).expect("follow-up");
-        assert_eq!(resp.status, 200);
-        assert_eq!(
-            server.join().expect("join"),
-            vec!["too-large 200 true".to_string(), "request 10".to_string()]
-        );
+        assert_eq!((resp.status, resp.body_text()), (200, "10".to_string()));
+        drop(client);
+        server.join().expect("join");
     }
 
     #[test]
@@ -1008,27 +1063,10 @@ mod tests {
         // is byte-identical to what the lock-step client path gets.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
-        let server = std::thread::spawn({
-            let listener = listener.try_clone().expect("clone");
-            move || {
-                let (stream, _) = listener.accept().expect("accept");
-                let mut conn = HttpConn::new(stream, Duration::from_millis(20)).expect("conn");
-                let mut served = 0;
-                while served < 6 {
-                    match conn.read_request(Instant::now() + Duration::from_secs(2)) {
-                        ReadOutcome::Request(req) => {
-                            served += 1;
-                            let mut body = req.body.clone();
-                            body.extend_from_slice(req.path.as_bytes());
-                            Response::text(200, body)
-                                .write_to(conn.stream(), false)
-                                .expect("write");
-                        }
-                        ReadOutcome::IdlePoll => continue,
-                        other => panic!("unexpected {other:?}"),
-                    }
-                }
-            }
+        let server = keep_alive_server(&listener, DEFAULT_MAX_BODY, |req| {
+            let mut body = req.body.clone();
+            body.extend_from_slice(req.path.as_bytes());
+            Response::text(200, body)
         });
         let mut client = Client::connect(&addr, Duration::from_secs(2)).expect("connect");
         // Lock-step reference answers.
@@ -1045,6 +1083,7 @@ mod tests {
             assert_eq!(resp.status, 200);
             assert_eq!(&resp.body, want, "response {i} out of order or mutated");
         }
+        drop(client);
         server.join().expect("join");
     }
 

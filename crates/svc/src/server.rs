@@ -32,14 +32,14 @@
 
 use crate::api::{self, ElectRequest};
 use crate::cache::{CacheKey, CacheSnapshot, CachedResult, ShardedLru};
-use crate::http::{HttpConn, ReadOutcome, Request, Response, DEFAULT_MAX_BODY};
+use crate::http::{self, Request, Response, DEFAULT_MAX_BODY};
 use crate::metrics::SvcMetrics;
 use crate::tracewire;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender};
 use hre_runtime::trace::{self, FlightRecorder, SpanAttrs, SpanId, Stage, TraceId};
 use hre_runtime::{ClockHandle, HistSnapshot, DEFAULT_TRACE_CAP};
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -260,7 +260,14 @@ pub fn start(cfg: SvcConfig) -> std::io::Result<ServerHandle> {
         std::thread::spawn(move || {
             let accepted = hre_runtime::serve_connections(&listener, &shared.shutdown, |stream| {
                 SvcMetrics::inc(&shared.metrics.connections);
-                connection_loop(stream, &shared, &job_tx);
+                http::serve_keep_alive(
+                    stream,
+                    shared.cfg.max_body,
+                    &shared.shutdown,
+                    Some(&shared.metrics.open_connections),
+                    || SvcMetrics::inc(&shared.metrics.bad_requests),
+                    |req| route(req, &shared, &job_tx),
+                );
             });
             // `job_tx` drops here: once every connection thread is done,
             // the workers see the channel disconnect after draining what
@@ -327,73 +334,20 @@ impl ServerHandle {
     }
 }
 
-/// Serves one connection: keep-alive request loop until the peer closes,
-/// an error, or shutdown.
-fn connection_loop(stream: TcpStream, shared: &Shared, job_tx: &Sender<Job>) {
-    let Ok(mut conn) = HttpConn::new(stream, POLL) else { return };
-    conn.set_max_body(shared.cfg.max_body);
-    shared.metrics.open_connections.fetch_add(1, Ordering::Relaxed);
-    // Decrement on every exit path (the loop below only returns).
-    let _open = OpenConnGuard(&shared.metrics);
-    loop {
-        let outcome = conn.read_request(Instant::now() + Duration::from_secs(5));
-        match outcome {
-            ReadOutcome::IdlePoll => {
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            ReadOutcome::Closed => return,
-            ReadOutcome::Malformed(why) => {
-                SvcMetrics::inc(&shared.metrics.bad_requests);
-                let _ = Response::json(400, api::error_json(&why)).write_to(conn.stream(), true);
-                return;
-            }
-            ReadOutcome::TooLarge { declared, drained } => {
-                // The declared body exceeds the cap. When the oversized
-                // body was fully drained the connection framing is
-                // intact and keep-alive survives; otherwise close.
-                SvcMetrics::inc(&shared.metrics.bad_requests);
-                let why = format!(
-                    "request body of {declared} bytes exceeds the {} byte limit",
-                    shared.cfg.max_body
-                );
-                let close = !drained || shared.shutdown.load(Ordering::Relaxed);
-                let resp = Response::json(413, api::error_json(&why));
-                if resp.write_to(conn.stream(), close).is_err() || close {
-                    return;
-                }
-            }
-            ReadOutcome::Request(req) => {
-                let close = req.wants_close() || shared.shutdown.load(Ordering::Relaxed);
-                let resp = route(&req, shared, job_tx);
-                if resp.write_to(conn.stream(), close).is_err() || close {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Drops the `hre_open_connections` gauge when a connection thread
-/// exits, whatever the path out.
-struct OpenConnGuard<'a>(&'a SvcMetrics);
-
-impl Drop for OpenConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.open_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 /// Dispatches one parsed request.
 fn route(req: &Request, shared: &Shared, job_tx: &Sender<Job>) -> Response {
+    let (rec, cfg) = (&shared.recorder, &shared.cfg);
     match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/elect") => with_request_span(req, shared, |trace_id, root, admitted| {
-            elect_response(&req.body, shared, job_tx, trace_id, root, admitted)
-        }),
-        ("POST", "/elect/batch") => with_request_span(req, shared, |trace_id, root, admitted| {
-            batch_response(&req.body, shared, trace_id, root, admitted)
-        }),
+        ("POST", "/elect") => {
+            with_request_span(req, rec, &cfg.clock, cfg.slow_threshold, |trace, root, admitted| {
+                elect_response(&req.body, shared, job_tx, trace, root, admitted)
+            })
+        }
+        ("POST", "/elect/batch") => {
+            with_request_span(req, rec, &cfg.clock, cfg.slow_threshold, |trace, root, admitted| {
+                batch_response(&req.body, shared, trace, root, admitted)
+            })
+        }
         ("GET", "/healthz") => {
             SvcMetrics::inc(&shared.metrics.health_checks);
             Response::text(200, "ok\n")
@@ -449,23 +403,26 @@ pub fn handle_trace(tail: &str, recorder: &FlightRecorder) -> Response {
     Response::json(200, tracewire::trace_doc(trace_id, &spans))
 }
 
-/// Wraps an `/elect`-family handler in the request envelope: adopt
-/// the propagated trace (or mint one), record the root `request` span,
-/// log slow requests, and stamp `x-trace-id` on the response.
-fn with_request_span(
+/// Wraps an `/elect`-family handler in the request envelope shared by
+/// the service and the router: adopt the propagated trace (or mint
+/// one), record the root `request` span, log requests slower than
+/// `slow` with their span tree, and stamp `x-trace-id` on the response.
+/// `interior` gets the trace id, the root span and the admission time.
+pub fn with_request_span(
     req: &Request,
-    shared: &Shared,
+    rec: &FlightRecorder,
+    clock: &ClockHandle,
+    slow: Option<Duration>,
     interior: impl FnOnce(TraceId, SpanId, Instant) -> Response,
 ) -> Response {
-    let admitted = shared.cfg.clock.now();
-    let rec = &shared.recorder;
+    let admitted = clock.now();
     let trace =
         req.header("x-trace-id").and_then(TraceId::from_hex).unwrap_or_else(|| rec.mint_trace());
     let remote_parent =
         req.header("x-parent-span").and_then(SpanId::from_hex).unwrap_or(SpanId::NONE);
     let root = rec.next_span_id();
     let resp = interior(trace, root, admitted);
-    let end = shared.cfg.clock.now();
+    let end = clock.now();
     rec.record_span_with_id(
         root,
         trace,
@@ -475,7 +432,7 @@ fn with_request_span(
         end,
         SpanAttrs { err: resp.status >= 400, root: true, ..Default::default() },
     );
-    if let Some(threshold) = shared.cfg.slow_threshold {
+    if let Some(threshold) = slow {
         if end.duration_since(admitted) >= threshold {
             eprintln!(
                 "slow request trace={} {} over {threshold:?}:\n{}",

@@ -1339,13 +1339,23 @@ fn bench_cluster_churn_cmd(
     })
     .map_err(|e| format!("cannot start router control node: {e}"))?;
 
-    let boot = wait_until(Duration::from_secs(20), Duration::from_millis(20), || {
+    // Every convergence wait polls the same agreement over the live
+    // members and the router node; a timeout carries the cluster state.
+    let converge = |members: &[Member],
+                    (timeout, poll): (Duration, Duration),
+                    done: &dyn Fn(&crate::ctrl::ClusterTopology) -> bool,
+                    stall: String| {
         let handles: Vec<&crate::ctrl::CtrlHandle> =
             members.iter().map(|m| &m.ctrl).chain([&router_ctrl]).collect();
-        let c = agreed_config(&handles)?;
-        (c.backends.len() == nodes && router.backends().len() == nodes).then_some(c)
-    })
-    .ok_or("the cluster did not elect a coordinator within 20 s")?;
+        wait_until(timeout, poll, || agreed_config(&handles).filter(|c| done(c)))
+            .ok_or_else(|| churn_stall_report(stall, &handles, &router))
+    };
+    let boot = converge(
+        &members,
+        (Duration::from_secs(20), Duration::from_millis(20)),
+        &|c| c.backends.len() == nodes && router.backends().len() == nodes,
+        "the cluster did not elect a coordinator within 20 s".into(),
+    )?;
 
     let requests = load.requests;
     let addr = router.addr.to_string();
@@ -1362,12 +1372,12 @@ fn bench_cluster_churn_cmd(
         while router.requests_seen() < target && armed.elapsed() < Duration::from_secs(60) {
             std::thread::sleep(Duration::from_micros(500));
         }
-        let before = wait_until(Duration::from_secs(10), Duration::from_millis(10), || {
-            let handles: Vec<&crate::ctrl::CtrlHandle> =
-                members.iter().map(|m| &m.ctrl).chain([&router_ctrl]).collect();
-            agreed_config(&handles)
-        })
-        .ok_or_else(|| format!("no agreed coordinator before kill {}", i + 1))?;
+        let before = converge(
+            &members,
+            (Duration::from_secs(10), Duration::from_millis(10)),
+            &|_| true,
+            format!("no agreed coordinator before kill {}", i + 1),
+        )?;
         let vi = members
             .iter()
             .position(|m| m.ctrl.member_id() == before.coordinator)
@@ -1376,16 +1386,16 @@ fn bench_cluster_churn_cmd(
         let t0 = Instant::now();
         victim.svc.shutdown();
         victim.ctrl.shutdown();
-        let re = wait_until(Duration::from_secs(30), Duration::from_millis(5), || {
-            let handles: Vec<&crate::ctrl::CtrlHandle> =
-                members.iter().map(|m| &m.ctrl).chain([&router_ctrl]).collect();
-            let c = agreed_config(&handles)?;
-            (c.epoch > before.epoch
-                && c.backends.len() == members.len()
-                && router.epoch() == c.epoch)
-                .then_some(c)
-        })
-        .ok_or_else(|| format!("re-election {} did not complete within 30 s", i + 1))?;
+        let re = converge(
+            &members,
+            (Duration::from_secs(30), Duration::from_millis(5)),
+            &|c| {
+                c.epoch > before.epoch
+                    && c.backends.len() == members.len()
+                    && router.epoch() == c.epoch
+            },
+            format!("re-election {} did not complete within 30 s", i + 1),
+        )?;
         reelections.push(t0.elapsed());
         epoch = re.epoch;
 
@@ -1393,14 +1403,12 @@ fn bench_cluster_churn_cmd(
         // coordinator to fold it into the next config.
         let t1 = Instant::now();
         members.push(start_member(vec![members[0].ctrl.addr.to_string()])?);
-        let rj = wait_until(Duration::from_secs(30), Duration::from_millis(5), || {
-            let handles: Vec<&crate::ctrl::CtrlHandle> =
-                members.iter().map(|m| &m.ctrl).chain([&router_ctrl]).collect();
-            let c = agreed_config(&handles)?;
-            (c.epoch > epoch && c.backends.len() == members.len() && router.epoch() == c.epoch)
-                .then_some(c)
-        })
-        .ok_or_else(|| format!("rejoin {} did not converge within 30 s", i + 1))?;
+        let rj = converge(
+            &members,
+            (Duration::from_secs(30), Duration::from_millis(5)),
+            &|c| c.epoch > epoch && c.backends.len() == members.len() && router.epoch() == c.epoch,
+            format!("rejoin {} did not converge within 30 s", i + 1),
+        )?;
         rejoins.push(t1.elapsed());
         epoch = rj.epoch;
     }
@@ -1461,6 +1469,39 @@ fn bench_cluster_churn_cmd(
     out.push_str(&report.pretty());
     let _ = writeln!(out, "client-visible failures across all kills: {}", report.failed);
     Ok(out)
+}
+
+/// The error for a churn convergence timeout: `stall`, then every
+/// member's and the router node's `/ctrl` status (or a note that the
+/// node's state stayed locked), the router's epoch, and the router's
+/// recent membership/reconfigure spans.
+fn churn_stall_report(
+    stall: String,
+    handles: &[&crate::ctrl::CtrlHandle],
+    router: &crate::cluster::RouterHandle,
+) -> String {
+    use crate::runtime::trace::{render_tree, Stage};
+    let mut out = stall;
+    for h in handles {
+        // A wedged node holds its own locks; do not wedge the report too.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let status = h.status_provider();
+        std::thread::spawn(move || tx.send(status.get()));
+        let status = rx.recv_timeout(std::time::Duration::from_secs(1)).unwrap_or_else(|_| {
+            format!("id={} unavailable: state locked for over 1 s", h.member_id())
+        });
+        let _ = write!(out, "\n  ctrl status: {status}");
+    }
+    let _ = write!(out, "\n  router epoch: {}", router.epoch());
+    let spans: Vec<_> = router
+        .recorder()
+        .spans()
+        .into_iter()
+        .filter(|s| matches!(s.stage, Stage::Membership | Stage::Reconfigure))
+        .collect();
+    let recent = &spans[spans.len().saturating_sub(16)..];
+    let _ = write!(out, "\n  recent membership/reconfigure spans:\n{}", render_tree(recent));
+    out
 }
 
 /// Renders a byte count for humans (binary units).
@@ -1652,13 +1693,14 @@ fn dst_render_outcome(
     let _ = writeln!(
         text,
         "served: {} ok, {} invalid, {} busy, {} failed  \
-         (hedges {}, failovers {}, timeouts {}, cache {}/{} hit/miss)",
+         (hedges {}, failovers {}, errors {}, timeouts {}, cache {}/{} hit/miss)",
         s.ok,
         s.invalid,
         s.busy,
         s.failed,
         s.hedges,
         s.failovers,
+        s.errors,
         s.timeouts,
         s.cache_hits,
         s.cache_misses,
@@ -1839,11 +1881,7 @@ fn dst_replay_cmd(opts: &Opts) -> Result<String, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read artifact {path}: {e}"))?;
     let (plan, regression, expected) = crate::dst::parse_artifact(&text)?;
-    let wopts = crate::dst::WorldOptions {
-        planted_regression: regression,
-        collect_transcript: opts.contains_key("transcript"),
-        record_spans: opts.contains_key("spans"),
-    };
+    let wopts = crate::dst::WorldOptions { planted_regression: regression, ..dst_world_opts(opts) };
     let out = crate::dst::run_plan(&plan, &wopts);
     if out.hash != expected {
         return Err(format!(
